@@ -8,8 +8,9 @@ Three cooperating pieces live here:
   records held-before edges against whatever that thread already
   holds; every release pops it and feeds the hold-time histogram.
 * :class:`Sanitizer` — the process-wide collector: per-site wait/hold
-  histograms, the global lock-order graph, the stall watchdog, and
-  the Eraser race table (:mod:`repro.sanitize.lockset`).
+  histograms (:class:`repro.histogram.LatencyHistogram`), the global
+  lock-order graph, the stall watchdog, and the Eraser race table
+  (:mod:`repro.sanitize.lockset`).
 * ``diagnostics()`` — renders everything observed as ordinary lint
   :class:`~repro.lint.diagnostics.Diagnostic` rows so the existing
   suppression / severity-override / baseline / reporter machinery
@@ -29,12 +30,12 @@ runs.  Measured values travel in :meth:`Sanitizer.counters` instead.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Any
 
+from repro.histogram import LatencyHistogram
 from repro.lint.diagnostics import Diagnostic, Severity, make, rule
 from repro.lint.lockgraph import _strongly_connected
 from repro.sanitize import DEFAULT_BUDGET
@@ -52,55 +53,19 @@ rule("sanitize-crossref", "sanitize", Severity.INFO,
 #: Waits shorter than this don't count as contention (scheduler noise).
 _CONTENTION_FLOOR_S = 1e-3
 
+#: Lock wait/hold bucket bounds, seconds: 1-2.5-5 steps from 1 µs to 50 s.
+_LOCK_BUCKETS_S = tuple(mantissa * 10.0 ** exponent
+                       for exponent in range(-6, 2)
+                       for mantissa in (1.0, 2.5, 5.0))
 
-class MiniHistogram:
-    """Log-spaced latency histogram (seconds) — count/sum/max + p95.
 
-    A trimmed cousin of ``repro.serve.metrics.LatencyHistogram``; kept
-    local so the serve modules can import this package at load time
-    without a cycle.
-    """
-
-    BOUNDS_S = tuple(mantissa * 10.0 ** exponent
-                     for exponent in range(-6, 2)
-                     for mantissa in (1.0, 2.5, 5.0))
-
-    __slots__ = ("buckets", "count", "total_s", "max_s")
-
-    def __init__(self) -> None:
-        self.buckets = [0] * (len(self.BOUNDS_S) + 1)
-        self.count = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.buckets[bisect_left(self.BOUNDS_S, seconds)] += 1
-        self.count += 1
-        self.total_s += seconds
-        if seconds > self.max_s:
-            self.max_s = seconds
-
-    def percentile(self, q: float) -> float:
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for index, bucket in enumerate(self.buckets):
-            seen += bucket
-            if seen >= target:
-                if index >= len(self.BOUNDS_S):
-                    return self.max_s
-                return min(self.BOUNDS_S[index], self.max_s)
-        return self.max_s
-
-    def snapshot_ms(self) -> dict[str, float]:
-        mean = self.total_s / self.count if self.count else 0.0
-        return {
-            "count": self.count,
-            "mean_ms": round(mean * 1e3, 3),
-            "p95_ms": round(self.percentile(0.95) * 1e3, 3),
-            "max_ms": round(self.max_s * 1e3, 3),
-        }
+def _snapshot_ms(hist: LatencyHistogram) -> dict[str, float]:
+    return {
+        "count": hist.count,
+        "mean_ms": round(hist.mean_s * 1e3, 3),
+        "p95_ms": round(hist.percentile(95) * 1e3, 3),
+        "max_ms": round(hist.max_s * 1e3, 3),
+    }
 
 
 @dataclass
@@ -112,8 +77,10 @@ class LockSite:
     acquires: int = 0
     contended: int = 0
     stalls: int = 0
-    wait_hist: MiniHistogram = field(default_factory=MiniHistogram)
-    hold_hist: MiniHistogram = field(default_factory=MiniHistogram)
+    wait_hist: LatencyHistogram = field(
+        default_factory=lambda: LatencyHistogram(_LOCK_BUCKETS_S))
+    hold_hist: LatencyHistogram = field(
+        default_factory=lambda: LatencyHistogram(_LOCK_BUCKETS_S))
     #: Worst over-budget hold: (hold_s, release-site file, line).
     worst_stall: tuple[float, str, int] | None = None
 
@@ -368,8 +335,8 @@ class Sanitizer:
                     "stall_budget_ms": (
                         None if site.budget_s is None
                         else round(site.budget_s * 1e3, 3)),
-                    "wait": site.wait_hist.snapshot_ms(),
-                    "hold": site.hold_hist.snapshot_ms(),
+                    "wait": _snapshot_ms(site.wait_hist),
+                    "hold": _snapshot_ms(site.hold_hist),
                 }
                 for name, site in sorted(self.sites.items())
             }

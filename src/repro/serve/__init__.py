@@ -26,8 +26,8 @@ form the paper's artifact (pdcunplugged.org) actually takes:
 * :mod:`repro.serve.retrypolicy` — shared exponential-backoff retry
   schedule (also used by :mod:`repro.sitegen.linkcheck`).
 * :mod:`repro.serve.metrics` — per-route counters, latency percentiles
-  (to p99.9), cache hit ratios, breaker/shed/stale counters
-  (``/api/metrics``); lock-striped per route.
+  (to p99.9, via :mod:`repro.histogram`), cache hit ratios,
+  breaker/shed/stale counters (``/api/metrics``); lock-striped per route.
 * :mod:`repro.serve.loadgen` — deterministic Zipf + API-mix load
   generation, serial / concurrent in-process / over-HTTP runners, with
   shed-rate / limited-rate / stale-hit-rate accounting, multi-tenant
@@ -36,116 +36,31 @@ form the paper's artifact (pdcunplugged.org) actually takes:
   (``--tenants``): API-key resolution, sliding-window per-tenant rate
   limits with free/standard/unlimited tiers, per-tier sweep quotas,
   and fleet-wide window reconciliation over the control sockets.
+
+The package namespace re-exports only what callers import from it: app
+construction, the load runners, the fault-spec parser, and ``run`` (the
+CLI's ``serve`` entry).  Everything else comes from its submodule.
 """
 
-from repro.serve.app import Response, ServeApp, create_app, create_server, run
-from repro.serve.cache import (
-    CacheEntry,
-    PageCache,
-    ShardedPageCache,
-    checksum,
-    make_etag,
-)
-from repro.serve.faults import (
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    parse_fault_spec,
-)
+from repro.serve.app import ServeApp, create_app, create_server, run
+from repro.serve.faults import parse_fault_spec
 from repro.serve.loadgen import (
     LoadGenerator,
-    LoadReport,
-    LoadRequest,
     call_app,
-    parse_tenant_mix,
     run_load,
     run_load_concurrent,
     run_load_http,
 )
-from repro.serve.metrics import (
-    LatencyHistogram,
-    MetricsRegistry,
-    RouteStats,
-    merge_exports,
-)
-from repro.serve.persist import CacheStore
-from repro.serve.prefork import (
-    FleetLinks,
-    GenerationBoard,
-    PreforkServer,
-    run_prefork,
-)
-from repro.serve.rebuild import (
-    BackgroundRebuilder,
-    RebuildManager,
-    RebuildResult,
-    ServerState,
-)
-from repro.serve.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    LoadShedder,
-)
-from repro.serve.retrypolicy import RetryError, RetryPolicy, is_transient
-from repro.serve.tenancy import (
-    TenancyConfig,
-    TenancyConfigError,
-    TenancySync,
-    TenantGate,
-    TierPolicy,
-)
-from repro.serve.workers import PooledWSGIServer, PoolSaturated, WorkerPool
 
 __all__ = [
-    "BackgroundRebuilder",
-    "CacheEntry",
-    "CacheStore",
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceeded",
-    "FaultPlan",
-    "FaultRule",
-    "FleetLinks",
-    "GenerationBoard",
-    "InjectedFault",
-    "LatencyHistogram",
     "LoadGenerator",
-    "LoadReport",
-    "LoadRequest",
-    "LoadShedder",
-    "MetricsRegistry",
-    "PageCache",
-    "PoolSaturated",
-    "PooledWSGIServer",
-    "PreforkServer",
-    "RebuildManager",
-    "RebuildResult",
-    "Response",
-    "RetryError",
-    "RetryPolicy",
-    "RouteStats",
     "ServeApp",
-    "ServerState",
-    "ShardedPageCache",
-    "TenancyConfig",
-    "TenancyConfigError",
-    "TenancySync",
-    "TenantGate",
-    "TierPolicy",
-    "WorkerPool",
     "call_app",
-    "checksum",
     "create_app",
     "create_server",
-    "is_transient",
-    "make_etag",
-    "merge_exports",
     "parse_fault_spec",
-    "parse_tenant_mix",
     "run",
     "run_load",
-    "run_prefork",
     "run_load_concurrent",
     "run_load_http",
 ]

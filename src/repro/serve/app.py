@@ -746,26 +746,28 @@ class ServeApp:
         accepted["spec"] = spec.canonical()
         return Response.json(accepted, status=202, route=route)
 
-    def metrics_extras(self) -> dict:
+    def metrics_extras(self, shards: bool = False) -> dict:
         """Per-process sections riding alongside the mergeable export.
 
         In a process fleet, these appear under each worker's entry in
         ``fleet.per_worker`` — page caches, pools, and resilience state
-        are genuinely per process and must not be summed.
+        are genuinely per process and must not be summed.  The per-shard
+        page-cache detail is too chatty for an N-worker breakdown, so
+        only the local payload asks for it (``shards=True``).
         """
-        cache_stats = (self.cache.stats() if self.cache is not None
-                       else {"enabled": False})
-        cache_stats.pop("shards", None)     # per-shard detail is too chatty
-        # for an N-worker breakdown; the local payload still carries it
+        page_cache = (self.cache.stats() if self.cache is not None
+                      else {"enabled": False})
+        if not shards:
+            page_cache.pop("shards", None)
+        if self.cache is not None:
+            page_cache["warm_loaded"] = self.warm_loaded
         extras = {
             "generation": self.state.corpus_signature,
             "stale": self._currently_stale(),
-            "page_cache": cache_stats,
+            "page_cache": page_cache,
             "pool": (self.worker_pool.stats() if self.worker_pool is not None
                      else {"workers": 1, "pooled": False}),
         }
-        if self.cache is not None:
-            extras["page_cache"]["warm_loaded"] = self.warm_loaded
         if self.rebuilder.last_error:
             extras["rebuild_last_error"] = self.rebuilder.last_error
         if self.background is not None:
@@ -780,35 +782,26 @@ class ServeApp:
         return extras
 
     def _local_metrics_payload(self) -> dict:
+        """The thread-mode ``/api/metrics``: the registry snapshot with
+        the :meth:`metrics_extras` sections placed in its own layout."""
+        extras = self.metrics_extras(shards=True)
         payload = self.metrics.snapshot()
-        payload["page_cache"] = (
-            self.cache.stats() if self.cache is not None else {"enabled": False}
-        )
-        if self.cache is not None:
-            payload["page_cache"]["warm_loaded"] = self.warm_loaded
-        payload["workers"] = (
-            self.worker_pool.stats() if self.worker_pool is not None
-            else {"workers": 1, "pooled": False}
-        )
-        if self.rebuilder.last_error:
-            payload["rebuilds"]["last_error"] = self.rebuilder.last_error
-        resilience = payload.setdefault("resilience", {})
-        resilience["stale"] = self._currently_stale()
-        if self.shedder is not None:
-            resilience["load_shedder"] = self.shedder.stats()
-        if self.background is not None:
-            resilience["rebuild_thread"] = self.background.stats()
-        if self.faults is not None:
-            resilience["faults"] = self.faults.stats()
-        if self.store is not None:
-            resilience["persist"] = self.store.stats()
-        if self.sweeps is not None:
-            payload["sweeps"] = self.sweeps.stats()
-        if self.tenancy is not None:
-            resilience["tenancy"] = self.tenancy.stats()
-        sanitizer = sanitize.current()
-        if sanitizer is not None:
-            payload["sanitizer"] = sanitizer.counters()
+        payload["page_cache"] = extras["page_cache"]
+        payload["workers"] = extras["pool"]
+        if "rebuild_last_error" in extras:
+            payload["rebuilds"]["last_error"] = extras["rebuild_last_error"]
+        resilience = payload["resilience"]
+        resilience["stale"] = extras["stale"]
+        for key, part in (("load_shedder", self.shedder),
+                          ("faults", self.faults), ("persist", self.store)):
+            if part is not None:
+                resilience[key] = part.stats()
+        for key in ("rebuild_thread", "tenancy"):
+            if key in extras:
+                resilience[key] = extras[key]
+        for key in ("sweeps", "sanitizer"):
+            if key in extras:
+                payload[key] = extras[key]
         return payload
 
     def _api_metrics(self) -> Response:

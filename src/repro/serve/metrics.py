@@ -6,16 +6,14 @@ hit-ratio counters — everything ``/api/metrics`` reports.  Pure stdlib,
 thread-safe, and deterministic given a request sequence.
 
 Locking is striped for the multi-worker server: the registry mutex only
-guards the route table and the global counters, while each
-:class:`RouteStats` carries its own mutex for its counters and histogram.
-Two workers recording requests for *different* routes therefore never
-contend on a shared lock — the same striping idea as the sharded page
-cache.
+guards the route and tenant tables and the scalar counters, while each
+:class:`RouteStats` / :class:`TenantStats` stripe carries its own mutex
+for its counters and histogram.  Two workers recording requests for
+*different* routes therefore never contend on a shared lock — the same
+striping idea as the sharded page cache.
 
-The histogram is the classic Prometheus-style cumulative-bucket design:
-log-spaced upper bounds, percentiles estimated by linear interpolation
-inside the bucket that crosses the requested rank.  Exact values are
-intentionally not retained (bounded memory under sustained load).
+The histogram is :class:`repro.histogram.LatencyHistogram` (shared with
+the runtime sanitizer's lock timing).
 
 Cross-process aggregation (the pre-fork serving mode): every piece of
 state is *mergeable*.  :meth:`MetricsRegistry.export` emits a raw,
@@ -31,148 +29,62 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from repro import sanitize
+from repro.histogram import DEFAULT_BUCKETS_S, LatencyHistogram
 
 __all__ = ["LatencyHistogram", "RouteStats", "TenantStats", "MetricsRegistry",
            "DEFAULT_BUCKETS_S", "merge_exports"]
 
-#: Log-spaced latency bucket upper bounds, in seconds (100 µs .. 10 s).
-DEFAULT_BUCKETS_S: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
+class _CounterStripe:
+    """Named counters, a status tally and a latency histogram, one mutex.
 
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with interpolated percentiles.
-
-    Not internally synchronized: the owning :class:`RouteStats` serializes
-    writes under its own mutex.
+    Subclasses declare ``COUNTERS`` and write their own ``record()``;
+    snapshot, export and merge are shared.  The per-stripe mutex means
+    concurrent workers recording different stripes never share a lock.
     """
 
-    def __init__(self, buckets_s: tuple[float, ...] = DEFAULT_BUCKETS_S):
-        self.bounds = tuple(sorted(buckets_s))
-        self.counts = [0] * (len(self.bounds) + 1)   # +1 overflow bucket
-        self.count = 0
-        self.sum_s = 0.0
-        self.min_s = float("inf")
-        self.max_s = 0.0
+    COUNTERS: tuple[str, ...] = ()
 
-    def observe(self, seconds: float) -> None:
-        seconds = max(0.0, seconds)
-        self.count += 1
-        self.sum_s += seconds
-        self.min_s = min(self.min_s, seconds)
-        self.max_s = max(self.max_s, seconds)
-        for i, bound in enumerate(self.bounds):
-            if seconds <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+    def __init__(self) -> None:
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        self.statuses: Counter = Counter()
+        self.latency = LatencyHistogram()
+        self._lock = threading.Lock()
+        sanitize.register_lock(self, "_lock", f"{type(self).__name__}._lock")
 
-    @property
-    def mean_s(self) -> float:
-        return self.sum_s / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Estimate the ``p``-th percentile (0 < p <= 100) in seconds.
-
-        Linear interpolation within the crossing bucket; the overflow
-        bucket reports the observed maximum.
-        """
-        if not self.count:
-            return 0.0
-        rank = p / 100.0 * self.count
-        cumulative = 0
-        lower = 0.0
-        for i, bound in enumerate(self.bounds):
-            bucket = self.counts[i]
-            if cumulative + bucket >= rank:
-                if bucket == 0:
-                    return bound
-                frac = (rank - cumulative) / bucket
-                return min(lower + frac * (bound - lower), self.max_s)
-            cumulative += bucket
-            lower = bound
-        return self.max_s
+    def _view(self, latency) -> dict:
+        with self._lock:
+            view = {name: getattr(self, name) for name in self.COUNTERS}
+            view["statuses"] = {str(k): v
+                                for k, v in sorted(self.statuses.items())}
+            view["latency"] = latency(self.latency)
+            return view
 
     def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_ms": round(self.mean_s * 1e3, 4),
-            "min_ms": round(self.min_s * 1e3, 4) if self.count else 0.0,
-            "max_ms": round(self.max_s * 1e3, 4),
-            "p50_ms": round(self.percentile(50) * 1e3, 4),
-            "p95_ms": round(self.percentile(95) * 1e3, 4),
-            "p99_ms": round(self.percentile(99) * 1e3, 4),
-            "p999_ms": round(self.percentile(99.9) * 1e3, 4),
-        }
+        return self._view(LatencyHistogram.snapshot)
 
     def export(self) -> dict:
-        """Raw, mergeable dump (bucket counts, not percentiles)."""
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum_s": self.sum_s,
-            "min_s": self.min_s if self.count else None,
-            "max_s": self.max_s,
-        }
+        """Raw, mergeable dump of this stripe's counters."""
+        return self._view(LatencyHistogram.export)
 
     def merge_export(self, export: dict) -> None:
-        """Fold another histogram's raw export into this one.
-
-        Exports with different bucket bounds cannot be merged bucket-wise;
-        their observations are folded through :meth:`observe` at each
-        bucket's upper bound (a conservative approximation) so a
-        mixed-version fleet still aggregates instead of crashing.
-        """
-        count = int(export.get("count", 0))
-        if not count:
-            return
-        bounds = tuple(export.get("bounds", ()))
-        counts = list(export.get("counts", ()))
-        if bounds == self.bounds and len(counts) == len(self.counts):
-            for i, n in enumerate(counts):
-                self.counts[i] += int(n)
-        else:
-            for bound, n in zip(bounds, counts):
-                self.counts[self._bucket_index(float(bound))] += int(n)
-            if len(counts) > len(bounds):       # the overflow bucket
-                self.counts[-1] += int(counts[len(bounds)])
-        self.count += count
-        self.sum_s += float(export.get("sum_s", 0.0))
-        min_s = export.get("min_s")
-        if min_s is not None:
-            self.min_s = min(self.min_s, float(min_s))
-        self.max_s = max(self.max_s, float(export.get("max_s", 0.0)))
-
-    def _bucket_index(self, seconds: float) -> int:
-        for i, bound in enumerate(self.bounds):
-            if seconds <= bound:
-                return i
-        return len(self.bounds)
+        with self._lock:
+            for name in self.COUNTERS:
+                setattr(self, name,
+                        getattr(self, name) + int(export.get(name, 0)))
+            for status, n in export.get("statuses", {}).items():
+                self.statuses[int(status)] += int(n)
+            self.latency.merge_export(export.get("latency", {}))
 
 
-@dataclass
-class RouteStats:
-    """Counters for one route pattern (e.g. ``/activities/<slug>/``).
+class RouteStats(_CounterStripe):
+    """Counters for one route pattern (e.g. ``/activities/<slug>/``)."""
 
-    Carries its own mutex so concurrent workers recording different
-    routes never share a lock.
-    """
-
-    requests: int = 0
-    errors: int = 0                         # responses with status >= 400
-    statuses: Counter = field(default_factory=Counter)
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def __post_init__(self) -> None:
-        sanitize.register_lock(self, "_lock", "RouteStats._lock")
+    #: ``errors`` counts responses with status >= 400.
+    COUNTERS = ("requests", "errors")
 
     def record(self, status: int, elapsed_s: float) -> None:
         with self._lock:
@@ -182,57 +94,20 @@ class RouteStats:
                 self.errors += 1
             self.latency.observe(elapsed_s)
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "errors": self.errors,
-                "statuses": {str(k): v for k, v in sorted(self.statuses.items())},
-                "latency": self.latency.snapshot(),
-            }
 
-    def export(self) -> dict:
-        """Raw, mergeable dump of this route's counters."""
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "errors": self.errors,
-                "statuses": {str(k): v for k, v in self.statuses.items()},
-                "latency": self.latency.export(),
-            }
-
-    def merge_export(self, export: dict) -> None:
-        with self._lock:
-            self.requests += int(export.get("requests", 0))
-            self.errors += int(export.get("errors", 0))
-            for status, n in export.get("statuses", {}).items():
-                self.statuses[int(status)] += int(n)
-            self.latency.merge_export(export.get("latency", {}))
-
-
-@dataclass
-class TenantStats:
+class TenantStats(_CounterStripe):
     """Counters for one tenant at the admission edge.
 
-    Striped like :class:`RouteStats` (own mutex), and mergeable the same
-    way so the pre-fork fleet reports true per-tenant percentiles.  The
-    latency histogram records *served* requests only — folding in
-    microsecond-scale rejections would drag a throttled tenant's
-    percentiles toward zero exactly when its real latency matters.
+    ``allowed`` were admitted past the edge, ``limited`` and
+    ``sweep_limited`` got a 429 (request window or sweep quota), ``shed``
+    were admitted and then shed at capacity, and ``errors`` are served
+    responses with status >= 500.  The latency histogram records
+    *served* requests only — folding in microsecond-scale rejections
+    would drag a throttled tenant's percentiles toward zero exactly when
+    its real latency matters.
     """
 
-    allowed: int = 0                        # admitted past the edge
-    limited: int = 0                        # 429: request window exhausted
-    sweep_limited: int = 0                  # 429: sweep-submission quota
-    shed: int = 0                           # admitted, then shed at capacity
-    errors: int = 0                         # served responses with status >= 500
-    statuses: Counter = field(default_factory=Counter)
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def __post_init__(self) -> None:
-        sanitize.register_lock(self, "_lock", "TenantStats._lock")
+    COUNTERS = ("allowed", "limited", "sweep_limited", "shed", "errors")
 
     def record(self, outcome: str, status: int, elapsed_s: float) -> None:
         with self._lock:
@@ -249,97 +124,62 @@ class TenantStats:
                     self.errors += 1
                 self.latency.observe(elapsed_s)
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "allowed": self.allowed,
-                "limited": self.limited,
-                "sweep_limited": self.sweep_limited,
-                "shed": self.shed,
-                "errors": self.errors,
-                "statuses": {str(k): v for k, v in sorted(self.statuses.items())},
-                "latency": self.latency.snapshot(),
-            }
-
-    def export(self) -> dict:
-        """Raw, mergeable dump of this tenant's counters."""
-        with self._lock:
-            return {
-                "allowed": self.allowed,
-                "limited": self.limited,
-                "sweep_limited": self.sweep_limited,
-                "shed": self.shed,
-                "errors": self.errors,
-                "statuses": {str(k): v for k, v in self.statuses.items()},
-                "latency": self.latency.export(),
-            }
-
-    def merge_export(self, export: dict) -> None:
-        with self._lock:
-            self.allowed += int(export.get("allowed", 0))
-            self.limited += int(export.get("limited", 0))
-            self.sweep_limited += int(export.get("sweep_limited", 0))
-            self.shed += int(export.get("shed", 0))
-            self.errors += int(export.get("errors", 0))
-            for status, n in export.get("statuses", {}).items():
-                self.statuses[int(status)] += int(n)
-            self.latency.merge_export(export.get("latency", {}))
-
 
 class MetricsRegistry:
     """Thread-safe aggregate of everything ``/api/metrics`` exposes."""
+
+    #: Scalar counters every export carries (and merging sums).  The
+    #: resilience ones make the degradation ladder observable: 503s at
+    #: the watermark (``shed``), requests over their time budget, 200s
+    #: marked ``Warning: 110``, renders that gave up after retries, and
+    #: 429s at the tenancy edge.
+    COUNTERS = ("cache_hits", "cache_misses", "not_modified", "rebuilds",
+                "rebuild_pages", "shed", "deadline_expired", "stale_served",
+                "degraded", "rate_limited")
 
     def __init__(self, clock=time.time):
         self._lock = threading.Lock()
         sanitize.register_lock(self, "_lock", "MetricsRegistry._lock")
         self._routes: dict[str, RouteStats] = {}
         self._tenants: dict[str, TenantStats] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.not_modified = 0               # 304 responses served
-        self.rebuilds = 0
-        self.rebuild_pages = 0              # files re-rendered across rebuilds
-        # Resilience counters: the degradation ladder made observable.
-        self.shed = 0                       # 503s answered at the watermark
-        self.deadline_expired = 0           # requests over their time budget
-        self.stale_served = 0               # 200s marked Warning: 110
-        self.degraded = 0                   # render gave up after retries
-        self.rate_limited = 0               # 429s answered at the tenancy edge
+        self._counters = dict.fromkeys(self.COUNTERS, 0)
         self.started_at = clock()
         self._clock = clock
 
     def record_request(self, route: str, status: int, elapsed_s: float,
                        cache_status: str | None = None) -> None:
         with self._lock:
-            stats = self._routes.setdefault(route, RouteStats())
+            stats = self._routes.get(route)
+            if stats is None:
+                stats = self._routes[route] = RouteStats()
             if cache_status == "hit":
-                self.cache_hits += 1
+                self._counters["cache_hits"] += 1
             elif cache_status == "miss":
-                self.cache_misses += 1
+                self._counters["cache_misses"] += 1
             if status == 304:
-                self.not_modified += 1
+                self._counters["not_modified"] += 1
         stats.record(status, elapsed_s)     # striped: per-route mutex
+
+    def _bump(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._counters[name] += n
 
     def record_rebuild(self, files_rerendered: int) -> None:
         with self._lock:
-            self.rebuilds += 1
-            self.rebuild_pages += files_rerendered
+            self._counters["rebuilds"] += 1
+            self._counters["rebuild_pages"] += files_rerendered
 
     def record_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
+        self._bump("shed")
 
     def record_deadline_expired(self) -> None:
-        with self._lock:
-            self.deadline_expired += 1
+        self._bump("deadline_expired")
 
     def record_stale_served(self) -> None:
-        with self._lock:
-            self.stale_served += 1
+        self._bump("stale_served")
 
     def record_degraded(self) -> None:
-        with self._lock:
-            self.degraded += 1
+        self._bump("degraded")
 
     def record_tenant(self, tenant: str, outcome: str, status: int,
                       elapsed_s: float) -> None:
@@ -350,14 +190,12 @@ class MetricsRegistry:
         tenant table; counting happens under the tenant's own stripe.
         """
         with self._lock:
-            stats = self._tenants.setdefault(tenant, TenantStats())
+            stats = self._tenants.get(tenant)
+            if stats is None:
+                stats = self._tenants[tenant] = TenantStats()
             if outcome in ("limited", "sweep_limited"):
-                self.rate_limited += 1
+                self._counters["rate_limited"] += 1
         stats.record(outcome, status, elapsed_s)
-
-    def tenant(self, name: str) -> TenantStats:
-        with self._lock:
-            return self._tenants.setdefault(name, TenantStats())
 
     @property
     def total_requests(self) -> int:
@@ -369,19 +207,16 @@ class MetricsRegistry:
     def cache_hit_ratio(self) -> float:
         """Hits over cacheable lookups (0.0 before any cacheable traffic)."""
         with self._lock:
-            hits, misses = self.cache_hits, self.cache_misses
+            hits = self._counters["cache_hits"]
+            misses = self._counters["cache_misses"]
         looked_up = hits + misses
         return hits / looked_up if looked_up else 0.0
 
-    def route(self, pattern: str) -> RouteStats:
+    def _tables(self) -> tuple[dict, dict, dict, float]:
+        """Consistent copies: routes, tenants, counters, start time."""
         with self._lock:
-            return self._routes.setdefault(pattern, RouteStats())
-
-    #: Scalar counters every export carries (and merging sums).
-    _EXPORT_COUNTERS = ("cache_hits", "cache_misses", "not_modified",
-                        "rebuilds", "rebuild_pages", "shed",
-                        "deadline_expired", "stale_served", "degraded",
-                        "rate_limited")
+            return (dict(self._routes), dict(self._tenants),
+                    dict(self._counters), self.started_at)
 
     def export(self) -> dict:
         """Raw, JSON-safe, *mergeable* dump of every counter.
@@ -392,12 +227,7 @@ class MetricsRegistry:
         the merged bucket counts — statistically correct, unlike any
         combination of per-worker percentiles.
         """
-        with self._lock:
-            routes = dict(self._routes)
-            tenants = dict(self._tenants)
-            counters = {name: getattr(self, name)
-                        for name in self._EXPORT_COUNTERS}
-            started_at = self.started_at
+        routes, tenants, counters, started_at = self._tables()
         return {
             "routes": {pattern: stats.export()
                        for pattern, stats in routes.items()},
@@ -409,67 +239,50 @@ class MetricsRegistry:
 
     def merge_export(self, export: dict) -> None:
         """Fold one raw :meth:`export` dump into this registry."""
+        stripes = []
         with self._lock:
             for name, value in export.get("counters", {}).items():
-                if name in self._EXPORT_COUNTERS:
-                    setattr(self, name, getattr(self, name) + int(value))
+                if name in self._counters:
+                    self._counters[name] += int(value)
             started_at = export.get("started_at")
             if started_at is not None:
                 self.started_at = min(self.started_at, float(started_at))
-            stats_by_pattern = {
-                pattern: self._routes.setdefault(pattern, RouteStats())
-                for pattern in export.get("routes", {})
-            }
-            stats_by_tenant = {
-                name: self._tenants.setdefault(name, TenantStats())
-                for name in export.get("tenants", {})
-            }
-        for pattern, route_export in export.get("routes", {}).items():
-            stats_by_pattern[pattern].merge_export(route_export)
-        for name, tenant_export in export.get("tenants", {}).items():
-            stats_by_tenant[name].merge_export(tenant_export)
+            for key, table, kind in (("routes", self._routes, RouteStats),
+                                     ("tenants", self._tenants, TenantStats)):
+                for name, stripe_export in export.get(key, {}).items():
+                    stripe = table.get(name)
+                    if stripe is None:
+                        stripe = table[name] = kind()
+                    stripes.append((stripe, stripe_export))
+        for stripe, stripe_export in stripes:
+            stripe.merge_export(stripe_export)
 
     def snapshot(self) -> dict:
         """JSON-ready view of every counter (the ``/api/metrics`` body)."""
-        with self._lock:
-            routes = dict(self._routes)
-            tenants = dict(self._tenants)
-            rate_limited = self.rate_limited
-            cache_hits = self.cache_hits
-            cache_misses = self.cache_misses
-            not_modified = self.not_modified
-            rebuilds = self.rebuilds
-            rebuild_pages = self.rebuild_pages
-            shed = self.shed
-            deadline_expired = self.deadline_expired
-            stale_served = self.stale_served
-            degraded = self.degraded
-            uptime = self._clock() - self.started_at
+        routes, tenants, counters, started_at = self._tables()
+        uptime = self._clock() - started_at
         route_snapshots = {
             pattern: stats.snapshot() for pattern, stats in sorted(routes.items())
         }
-        looked_up = cache_hits + cache_misses
+        hits, misses = counters["cache_hits"], counters["cache_misses"]
+        looked_up = hits + misses
         return {
             "uptime_s": round(uptime, 3),
             "total_requests": sum(s["requests"] for s in route_snapshots.values()),
             "routes": route_snapshots,
             "cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_ratio": round(cache_hits / looked_up, 4) if looked_up else 0.0,
-                "not_modified": not_modified,
+                "hits": hits,
+                "misses": misses,
+                "hit_ratio": round(hits / looked_up, 4) if looked_up else 0.0,
+                "not_modified": counters["not_modified"],
             },
             "rebuilds": {
-                "count": rebuilds,
-                "files_rerendered": rebuild_pages,
+                "count": counters["rebuilds"],
+                "files_rerendered": counters["rebuild_pages"],
             },
-            "resilience": {
-                "shed": shed,
-                "deadline_expired": deadline_expired,
-                "stale_served": stale_served,
-                "degraded": degraded,
-                "rate_limited": rate_limited,
-            },
+            "resilience": {name: counters[name] for name in (
+                "shed", "deadline_expired", "stale_served", "degraded",
+                "rate_limited")},
             "tenants": {name: stats.snapshot()
                         for name, stats in sorted(tenants.items())},
         }

@@ -42,8 +42,11 @@ inherits its predecessor's counts from the survivors' gossip.
 
 The control protocol is one JSON line per connection::
 
-    {"cmd": "ping" | "ready" | "metrics" | "generation" | "poke"
-            | "tenancy" | "shutdown"}
+    {"cmd": "ready" | "metrics" | "tenancy" | "poke" | "shutdown"}
+
+``ready`` is also the liveness and generation probe (its reply carries
+``worker``, ``pid``, ``generation`` and ``stale``).  Every fan-out goes
+through :meth:`FleetLinks.call_peers`.
 
 Pure stdlib.  Requires ``fork`` (POSIX); the CLI refuses the mode
 elsewhere.  In process mode each worker's sweep plane runs its points
@@ -225,41 +228,17 @@ class GenerationBoard:
         return payload if isinstance(payload, dict) else None
 
 
-def fleet_section(workers: int, reports: list[dict],
-                  answered_by: int | None = None) -> dict:
-    """The ``fleet`` block of a merged metrics payload."""
-    per_worker: dict[str, dict] = {}
-    for report in sorted(reports, key=lambda r: r.get("worker", -1)):
-        export = report.get("export") or {}
-        counters = export.get("counters") or {}
-        entry = {
-            "pid": report.get("pid"),
-            "requests": sum(int(route.get("requests", 0))
-                            for route in (export.get("routes") or {}).values()),
-            "cache_hits": int(counters.get("cache_hits", 0)),
-            "cache_misses": int(counters.get("cache_misses", 0)),
-        }
-        entry.update(report.get("extra") or {})
-        per_worker[str(report.get("worker"))] = entry
-    return {
-        "worker_model": "process",
-        "workers": workers,
-        "responding": len(reports),
-        "answered_by": answered_by,
-        "per_worker": per_worker,
-    }
-
-
 class FleetLinks:
-    """One worker's view of its fleet: peers, board, aggregation.
+    """One process's view of its fleet: peers, board, aggregation.
 
-    Attached to the worker's :class:`~repro.serve.app.ServeApp` as
+    Attached to a worker's :class:`~repro.serve.app.ServeApp` as
     ``app.fleet``; its presence is what switches ``/api/metrics`` and
-    ``/readyz`` into fleet-wide mode.
+    ``/readyz`` into fleet-wide mode.  The supervisor holds one with
+    ``index=None``: it is no worker, so every worker is its peer.
     """
 
-    def __init__(self, runtime_dir: str | Path, index: int, workers: int,
-                 timeout_s: float = CONTROL_TIMEOUT_S):
+    def __init__(self, runtime_dir: str | Path, index: int | None,
+                 workers: int, timeout_s: float = CONTROL_TIMEOUT_S):
         self.runtime_dir = Path(runtime_dir)
         self.index = index
         self.workers = workers
@@ -269,6 +248,16 @@ class FleetLinks:
     def peers(self) -> list[tuple[int, Path]]:
         return [(i, worker_socket_path(self.runtime_dir, i))
                 for i in range(self.workers) if i != self.index]
+
+    def call_peers(self, cmd: str) -> dict[int, dict]:
+        """Send ``cmd`` to every peer; ``{index: reply}`` for those that
+        answered (a dead or slow peer is simply absent)."""
+        replies = {}
+        for idx, path in self.peers():
+            reply = control_call(path, cmd, timeout_s=self.timeout_s)
+            if reply is not None:
+                replies[idx] = reply
+        return replies
 
     # -- generation plane --------------------------------------------------
 
@@ -282,31 +271,51 @@ class FleetLinks:
         """
         if not self.board.publish(generation, worker=self.index):
             return 0
-        poked = 0
-        for _idx, path in self.peers():
-            if control_call(path, "poke", timeout_s=self.timeout_s):
-                poked += 1
-        return poked
+        return len(self.call_peers("poke"))
 
     # -- metrics plane -----------------------------------------------------
 
+    def report(self, app) -> dict:
+        """This worker's ``metrics`` reply: raw export + per-process extras."""
+        return {"worker": self.index, "pid": os.getpid(),
+                "export": app.metrics.export(),
+                "extra": app.metrics_extras()}
+
     def collect_metrics(self, local: dict | None = None) -> list[dict]:
         reports = [local] if local else []
-        for _idx, path in self.peers():
-            report = control_call(path, "metrics", timeout_s=self.timeout_s)
-            if report and "export" in report:
-                reports.append(report)
+        reports.extend(report for report in self.call_peers("metrics").values()
+                       if "export" in report)
         return reports
 
-    def metrics_payload(self, app) -> dict:
-        """Fleet-wide ``/api/metrics``: merged registries + breakdown."""
-        local = {"worker": self.index, "pid": os.getpid(),
-                 "export": app.metrics.export(),
-                 "extra": app.metrics_extras()}
-        reports = self.collect_metrics(local)
+    def metrics_payload(self, app=None) -> dict:
+        """Fleet-wide ``/api/metrics``: merged registries + breakdown.
+
+        ``app`` is this worker's own app, reported in-process rather
+        than over its own socket; the supervisor passes none.
+        """
+        reports = self.collect_metrics(
+            self.report(app) if app is not None else None)
+        per_worker: dict[str, dict] = {}
+        for report in sorted(reports, key=lambda r: r.get("worker", -1)):
+            export = report.get("export") or {}
+            counters = export.get("counters") or {}
+            entry = {
+                "pid": report.get("pid"),
+                "requests": sum(int(route.get("requests", 0)) for route
+                                in (export.get("routes") or {}).values()),
+                "cache_hits": int(counters.get("cache_hits", 0)),
+                "cache_misses": int(counters.get("cache_misses", 0)),
+            }
+            entry.update(report.get("extra") or {})
+            per_worker[str(report.get("worker"))] = entry
         merged = merge_exports(r["export"] for r in reports).snapshot()
-        merged["fleet"] = fleet_section(self.workers, reports,
-                                        answered_by=self.index)
+        merged["fleet"] = {
+            "worker_model": "process",
+            "workers": self.workers,
+            "responding": len(reports),
+            "answered_by": self.index,
+            "per_worker": per_worker,
+        }
         return merged
 
     # -- readiness plane ---------------------------------------------------
@@ -316,8 +325,9 @@ class FleetLinks:
         statuses = {str(self.index): {"ready": bool(local_ready),
                                       "pid": os.getpid(),
                                       "responding": True}}
-        for idx, path in self.peers():
-            reply = control_call(path, "ready", timeout_s=self.timeout_s)
+        replies = self.call_peers("ready")
+        for idx, _path in self.peers():
+            reply = replies.get(idx)
             statuses[str(idx)] = {
                 "ready": bool(reply and reply.get("ready")),
                 "pid": reply.get("pid") if reply else None,
@@ -363,13 +373,9 @@ def _worker_main(index: int, listen_socket: socket.socket,
         app.tenancy.set_worker(index)
 
         def fetch_tenancy_views() -> list[dict]:
-            views = []
-            for _idx, path in app.fleet.peers():
-                reply = control_call(path, "tenancy",
-                                     timeout_s=app.fleet.timeout_s)
-                if reply and isinstance(reply.get("view"), dict):
-                    views.append(reply["view"])
-            return views
+            return [reply["view"]
+                    for reply in app.fleet.call_peers("tenancy").values()
+                    if isinstance(reply.get("view"), dict)]
 
         tenancy_sync = TenancySync(app.tenancy, fetch_tenancy_views,
                                    interval_s=tenancy_sync_interval_s).start()
@@ -417,16 +423,9 @@ def _worker_main(index: int, listen_socket: socket.socket,
     control = ControlServer(
         worker_socket_path(runtime_dir, index),
         handlers={
-            "ping": lambda _r: {"ok": True, "worker": index,
-                                "pid": os.getpid()},
             "ready": lambda _r: dict(app.local_readiness(), worker=index,
                                      pid=os.getpid()),
-            "metrics": lambda _r: {"worker": index, "pid": os.getpid(),
-                                   "export": app.metrics.export(),
-                                   "extra": app.metrics_extras()},
-            "generation": lambda _r: {"worker": index, "pid": os.getpid(),
-                                      "generation": app.state.corpus_signature,
-                                      "stale": app._currently_stale()},
+            "metrics": lambda _r: app.fleet.report(app),
             "poke": _poke,
             "tenancy": lambda _r: {
                 "worker": index, "pid": os.getpid(),
@@ -509,7 +508,8 @@ class PreforkServer:
         self.runtime_dir = (Path(runtime_dir) if runtime_dir is not None
                             else Path(tempfile.mkdtemp(prefix="pdc-prefork-")))
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
-        self.board = GenerationBoard(self.runtime_dir / _GENERATION_NAME)
+        self.fleet = FleetLinks(self.runtime_dir, None, workers)
+        self.board = self.fleet.board
 
         self.listen_socket = socket.create_server((host, port), backlog=128)
         self.host, self.port = self.listen_socket.getsockname()[:2]
@@ -615,9 +615,7 @@ class PreforkServer:
             procs = [(i, p) for i, p in enumerate(self._procs)
                      if p is not None]
         if graceful:
-            for index, _proc in procs:
-                control_call(worker_socket_path(self.runtime_dir, index),
-                             "shutdown", timeout_s=CONTROL_TIMEOUT_S)
+            self.fleet.call_peers("shutdown")
         deadline = time.monotonic() + timeout_s
         for _index, proc in procs:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
@@ -678,26 +676,19 @@ class PreforkServer:
         """Block until every worker answers ``ready`` on its socket."""
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            replies = [self.control(i, "ready") for i in range(self.workers)]
-            if all(r is not None and r.get("ready") for r in replies):
+            replies = self.fleet.call_peers("ready")
+            if (len(replies) == self.workers
+                    and all(r.get("ready") for r in replies.values())):
                 return True
             time.sleep(poll_s)
         return False
 
     def collect_metrics(self) -> list[dict]:
-        reports = []
-        for index in range(self.workers):
-            report = self.control(index, "metrics")
-            if report and "export" in report:
-                reports.append(report)
-        return reports
+        return self.fleet.collect_metrics()
 
     def aggregate_metrics(self) -> dict:
-        """Supervisor-side fleet metrics (same merge the workers serve)."""
-        reports = self.collect_metrics()
-        merged = merge_exports(r["export"] for r in reports).snapshot()
-        merged["fleet"] = fleet_section(self.workers, reports)
-        return merged
+        """Supervisor-side fleet metrics (the merge the workers serve)."""
+        return self.fleet.metrics_payload()
 
     def stats(self) -> dict:
         with self._lock:

@@ -161,3 +161,32 @@ class TestLockOrder:
         assert "runtime lock-order inversion among A, B" in diag.message
         assert "A held while taking B" in diag.message
         assert "B held while taking A" in diag.message
+
+
+class TestLockHistograms:
+    """``counters()`` wait/hold summaries from the shared histogram."""
+
+    def test_wait_and_hold_summaries_after_known_observations(self):
+        san = Sanitizer()
+        san.wrap(threading.Lock(), "wait.site", stall_budget_ms=None)
+        san.wrap(threading.Lock(), "hold.site", stall_budget_ms=None)
+        wait_site, hold_site = san.sites["wait.site"], san.sites["hold.site"]
+        for wait_s in [0.0003] * 10 + [0.0015] * 10:
+            san._note_acquired(wait_site, wait_s)
+            san._note_released(wait_site)
+        for hold_s in (0.004, 0.006, 0.02):
+            san._record_hold(hold_site, hold_s)
+
+        locks = san.counters()["locks"]
+        wait = locks["wait.site"]["wait"]
+        assert wait["count"] == 20
+        assert wait["mean_ms"] == 0.9
+        assert wait["max_ms"] == 1.5
+        # Rank 19 of 20 falls in the (1 ms, 2.5 ms] bucket.
+        assert 1.0 < wait["p95_ms"] <= 2.5
+        hold = locks["hold.site"]["hold"]
+        assert set(hold) == {"count", "mean_ms", "p95_ms", "max_ms"}
+        assert (hold["count"], hold["mean_ms"], hold["max_ms"]) == \
+            (3, 10.0, 20.0)
+        # Rank 2.85 of 3 falls in the (10 ms, 25 ms] bucket, capped by max.
+        assert 10.0 < hold["p95_ms"] <= 20.0

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.serve.metrics import (
     LatencyHistogram,
     MetricsRegistry,
@@ -212,21 +214,99 @@ class TestExportMerge:
         assert abs(a.sum_s - 0.015) < 1e-9
         assert sum(a.counts) == 5
 
-    def test_histogram_merge_mismatched_bounds_folds_not_crashes(self):
-        """A mixed-version fleet: observations fold through each bucket's
-        upper bound instead of being dropped or crashing the merge."""
+    def test_histogram_merge_mismatched_bounds_raises(self):
+        """Every merged export comes from workers forked from one image,
+        so different bucket bounds are a bug: the merge refuses loudly
+        instead of folding observations into the wrong buckets."""
         coarse = LatencyHistogram(buckets_s=(0.01, 1.0))
         coarse.observe(0.005)
-        coarse.observe(2.0)                     # coarse overflow bucket
+        coarse.observe(2.0)
         fine = LatencyHistogram()               # default bounds
-        fine.merge_export(coarse.export())
-        assert fine.count == 2
-        assert fine.max_s == 2.0
-        assert fine.counts[-1] == 1             # overflow stays overflow
-        assert fine.percentile(99) == 2.0
+        with pytest.raises(ValueError, match="bucket bounds"):
+            fine.merge_export(coarse.export())
+        assert fine.count == 0                  # nothing half-merged
 
     def test_empty_export_merge_is_a_noop(self):
         hist = LatencyHistogram()
         hist.observe(0.001)
         hist.merge_export(LatencyHistogram().export())
         assert hist.count == 1
+
+
+#: ``/api/metrics`` key paths the benchmark and CI read, in both modes.
+_MERGED_PATHS = (
+    ("routes", "page:home", "latency", "p99_ms"),
+    ("resilience", "shed"), ("resilience", "deadline_expired"),
+    ("resilience", "degraded"), ("resilience", "rate_limited"),
+    ("cache", "not_modified"),
+)
+#: Per-process sections: top level in thread mode ...
+_LOCAL_PATHS = (
+    ("page_cache", "hits"), ("page_cache", "misses"),
+    ("page_cache", "evictions"), ("page_cache", "warm_loaded"),
+    ("resilience", "tenancy", "limiter_errors"),
+)
+#: ... and under ``fleet.per_worker.<i>`` in a pre-fork fleet.
+_WORKER_PATHS = (
+    ("page_cache", "hits"), ("page_cache", "misses"),
+    ("page_cache", "evictions"), ("page_cache", "warm_loaded"),
+    ("tenancy", "limiter_errors"),
+)
+
+
+def _missing(payload: dict, paths) -> list:
+    missing = []
+    for path in paths:
+        node = payload
+        for key in path:
+            if not isinstance(node, dict) or key not in node:
+                missing.append(path)
+                break
+            node = node[key]
+    return missing
+
+
+class TestMetricsSchema:
+    """The ``/api/metrics`` key paths consumers depend on, in both the
+    thread model and a 2-worker pre-fork fleet."""
+
+    def test_thread_mode_payload_paths(self, tmp_path):
+        from repro.serve import call_app, create_app
+
+        app = create_app(watch=False, cache_dir=tmp_path / "cache",
+                         tenants="default")
+        try:
+            call_app(app, "/")
+            payload = json.loads(call_app(app, "/api/metrics").body)
+        finally:
+            app.close()
+        assert _missing(payload, _MERGED_PATHS + _LOCAL_PATHS) == []
+        assert "fleet" not in payload
+
+    def test_prefork_payload_paths(self, tmp_path):
+        import urllib.request
+
+        from repro.serve.prefork import PreforkServer
+
+        server = PreforkServer(port=0, workers=2, watch=False,
+                               rebuild_mode="inline", quiet=True,
+                               cache_dir=str(tmp_path / "cache"),
+                               tenants="default")
+        server.start()
+        try:
+            assert server.wait_ready(timeout_s=60.0), "fleet never ready"
+            with urllib.request.urlopen(server.base_url + "/",
+                                        timeout=30) as resp:
+                resp.read()
+            with urllib.request.urlopen(server.base_url + "/api/metrics",
+                                        timeout=30) as resp:
+                payload = json.loads(resp.read())
+            supervisor_view = server.aggregate_metrics()
+        finally:
+            server.stop()
+        for merged in (payload, supervisor_view):
+            assert _missing(merged, _MERGED_PATHS) == []
+            per_worker = merged["fleet"]["per_worker"]
+            assert sorted(per_worker) == ["0", "1"]
+            for worker in per_worker.values():
+                assert _missing(worker, _WORKER_PATHS) == []

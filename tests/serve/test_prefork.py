@@ -115,17 +115,19 @@ class TestFleetServing:
         assert merged["total_requests"] == sum(
             w["requests"] for w in merged["fleet"]["per_worker"].values())
 
-    def test_control_ping_answers_with_pid(self, fleet):
+    def test_control_ready_answers_with_pid(self, fleet):
         pids = fleet.worker_pids()
         for index in range(WORKERS):
-            reply = fleet.control(index, "ping")
-            assert reply["ok"] is True
+            reply = fleet.control(index, "ready")
+            assert reply["ready"] is True
+            assert reply["worker"] == index
             assert reply["pid"] == pids[index]
 
     def test_unknown_control_command_is_an_error_not_a_crash(self, fleet):
-        reply = fleet.control(0, "frobnicate")
-        assert "error" in reply
-        assert fleet.control(0, "ping")["ok"] is True
+        # ping and generation were folded into ready.
+        for cmd in ("frobnicate", "ping", "generation"):
+            assert "error" in fleet.control(0, cmd)
+        assert fleet.control(0, "ready")["ready"] is True
 
 
 class TestLifecycle:
@@ -200,7 +202,7 @@ class TestGenerationCoordination:
         server.start()
         try:
             assert server.wait_ready(timeout_s=60.0)
-            initial = {i: server.control(i, "generation")["generation"]
+            initial = {i: server.control(i, "ready")["generation"]
                        for i in range(2)}
             assert initial[0] == initial[1]
 
@@ -212,7 +214,7 @@ class TestGenerationCoordination:
             assert server.control(0, "poke")["ok"] is True
 
             def converged():
-                gens = [(server.control(i, "generation") or {}).get("generation")
+                gens = [(server.control(i, "ready") or {}).get("generation")
                         for i in range(2)]
                 return (gens[0] is not None and gens[0] != initial[0]
                         and gens[0] == gens[1])
@@ -222,7 +224,7 @@ class TestGenerationCoordination:
             board = server.board.read()
             assert board is not None
             assert board["generation"] == \
-                server.control(1, "generation")["generation"]
+                server.control(1, "ready")["generation"]
         finally:
             server.stop()
 
@@ -238,7 +240,7 @@ class TestGenerationCoordination:
         assert board.read() is None
 
     def test_control_call_to_missing_socket_is_none(self, tmp_path):
-        assert control_call(worker_socket_path(tmp_path, 9), "ping",
+        assert control_call(worker_socket_path(tmp_path, 9), "ready",
                             timeout_s=0.2) is None
 
 
@@ -277,7 +279,7 @@ class TestControlCallDegradation:
     def _call(self, tmp_path, behavior, timeout_s: float = 1.0):
         peer = _FakePeer(tmp_path, behavior)
         try:
-            return control_call(peer.path, "ping", timeout_s=timeout_s)
+            return control_call(peer.path, "ready", timeout_s=timeout_s)
         finally:
             peer.close()
 
@@ -308,7 +310,7 @@ class TestControlCallDegradation:
         peer = _FakePeer(tmp_path, lambda conn: time.sleep(1.5))
         try:
             started = time.monotonic()
-            assert control_call(peer.path, "ping", timeout_s=0.3) is None
+            assert control_call(peer.path, "ready", timeout_s=0.3) is None
             assert time.monotonic() - started < 1.4
         finally:
             peer.close()
