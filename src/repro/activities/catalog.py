@@ -7,10 +7,12 @@ intersect terms, group by term, and adapt into the sitegen
 
 :func:`load_default_catalog` loads the 38-activity curated corpus shipped
 as package data under ``repro/activities/content/``.  The load is memoized
-on a cheap corpus fingerprint (per-file mtime/size), so the CLI, the
-site views, the analytics, and the serving layer all share one parsed
-corpus instead of re-parsing 38 Markdown files per construction; edits to
-the content directory invalidate the cache automatically.
+on a cheap corpus fingerprint (:func:`scan_content`, per-file
+mtime/size), so the CLI, the site views, the analytics, and the serving
+layer all share one parsed corpus instead of re-parsing 38 Markdown
+files per construction; edits to the content directory invalidate the
+cache automatically.  Successive generations of one directory share
+the activities and pages of unchanged files (see ``previous``).
 """
 
 from __future__ import annotations
@@ -23,10 +25,18 @@ from typing import Callable, Iterable, Iterator
 from repro.activities.parser import parse_activity, parse_activity_file
 from repro.activities.schema import Activity, validate
 from repro.errors import ActivityError, ValidationError
+from repro.ioutil import file_fingerprint
 from repro.sitegen.site import Page, Site, SiteConfig
 from repro.sitegen.taxonomy import TaxonomyIndex
 
-__all__ = ["Catalog", "load_default_catalog", "corpus_dir", "clear_corpus_cache"]
+__all__ = ["Catalog", "load_default_catalog", "corpus_dir", "clear_corpus_cache",
+           "scan_content"]
+
+
+def scan_content(content_dir: str | Path) -> dict[str, tuple[str, int, int]]:
+    """Fingerprint a content tree: file name -> (name, mtime_ns, size)."""
+    return {path.name: file_fingerprint(path)
+            for path in sorted(Path(content_dir).glob("*.md"))}
 
 
 class Catalog:
@@ -35,6 +45,11 @@ class Catalog:
     def __init__(self, activities: Iterable[Activity] = ()):
         self._activities: list[Activity] = []
         self._by_name: dict[str, Activity] = {}
+        # Source file name -> (fingerprint, activity) for activities read
+        # by from_directory, and activity name -> the Page site() built;
+        # a later generation reuses both (see ``previous``).
+        self._sources: dict[str, tuple[tuple, Activity]] = {}
+        self._pages: dict[str, Page] = {}
         for activity in activities:
             self.add(activity)
 
@@ -47,13 +62,29 @@ class Catalog:
         self._by_name[activity.name] = activity
 
     @classmethod
-    def from_directory(cls, directory: str | Path) -> "Catalog":
+    def from_directory(cls, directory: str | Path,
+                       previous: "Catalog | None" = None) -> "Catalog":
+        """Parse every ``*.md`` in ``directory``.
+
+        With ``previous`` (an earlier generation of the same directory),
+        a file whose fingerprint is unchanged reuses that generation's
+        :class:`Activity` instead of being reparsed.  Each file is
+        stat-ed *before* it is read, so a write racing the parse leaves
+        a stale fingerprint and is re-read on the next scan.
+        """
         directory = Path(directory)
         if not directory.is_dir():
             raise ActivityError(f"no such content directory: {directory}")
+        reusable = previous._sources if previous is not None else {}
         catalog = cls()
-        for path in sorted(directory.glob("*.md")):
-            catalog.add(parse_activity_file(path))
+        for name, fingerprint in scan_content(directory).items():
+            known = reusable.get(name)
+            if known is not None and known[0] == fingerprint:
+                activity = known[1]
+            else:
+                activity = parse_activity_file(directory / name)
+            catalog.add(activity)
+            catalog._sources[name] = (fingerprint, activity)
         return catalog
 
     @classmethod
@@ -136,14 +167,26 @@ class Catalog:
             index.add_page(_ActivityPage(activity))
         return index
 
-    def site(self, config: SiteConfig | None = None) -> Site:
-        """Build a renderable :class:`Site` whose pages are the activities."""
+    def site(self, config: SiteConfig | None = None,
+             previous: "Catalog | None" = None) -> Site:
+        """Build a renderable :class:`Site` whose pages are the activities.
+
+        An activity that is the *same object* in ``previous`` keeps the
+        :class:`Page` built for it there; only new or reparsed activities
+        go through the ``write_activity`` -> ``Page.from_text`` round trip.
+        """
         from repro.activities.writer import write_activity
 
         site = Site(config)
         for activity in self._activities:
-            text = write_activity(activity)
-            site.add_page(Page.from_text(activity.name, text))
+            page = None
+            if previous is not None and \
+                    previous._by_name.get(activity.name) is activity:
+                page = previous._pages.get(activity.name)
+            if page is None:
+                page = Page.from_text(activity.name, write_activity(activity))
+            self._pages[activity.name] = page
+            site.add_page(page)
         return site
 
 
@@ -181,16 +224,8 @@ def corpus_dir() -> Path:
 
 _cache_lock = threading.Lock()
 _cached_catalog: Catalog | None = None
-_cached_fingerprint: tuple | None = None
+_cached_fingerprint: dict | None = None
 _cached_validated: bool = False
-
-
-def _corpus_fingerprint(directory: Path) -> tuple:
-    """Cheap change detector: (name, mtime_ns, size) per corpus file."""
-    return tuple(
-        (path.name, path.stat().st_mtime_ns, path.stat().st_size)
-        for path in sorted(directory.glob("*.md"))
-    )
 
 
 def clear_corpus_cache() -> None:
@@ -220,7 +255,7 @@ def load_default_catalog(validate_corpus: bool = True,
         return catalog
 
     directory = corpus_dir()
-    fingerprint = _corpus_fingerprint(directory)
+    fingerprint = scan_content(directory)
     with _cache_lock:
         if _cached_catalog is None or _cached_fingerprint != fingerprint:
             _cached_catalog = Catalog.from_directory(directory)

@@ -10,6 +10,10 @@ version, never the old one.
 
 ``fsync`` is best-effort on the containing directory (some filesystems
 refuse ``open(dir)``); the file-level fsync is the load-bearing one.
+
+:func:`file_fingerprint` is the one definition of "this file changed"
+that the activity catalog, the serve layer's rebuild scanner and the
+lint cache all key on.
 """
 
 from __future__ import annotations
@@ -18,9 +22,15 @@ import itertools
 import os
 from pathlib import Path
 
-__all__ = ["atomic_write_bytes", "atomic_write_text"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "file_fingerprint"]
 
 _counter = itertools.count()
+
+
+def file_fingerprint(path: str | Path) -> tuple[str, int, int]:
+    """``(name, mtime_ns, size)`` of one file, from a single ``stat``."""
+    stat = os.stat(path)
+    return (os.path.basename(path), stat.st_mtime_ns, stat.st_size)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes, fsync: bool = True) -> Path:

@@ -2,9 +2,10 @@
 
 Incrementality uses the same content fingerprint the activity catalog and
 the serve layer's rebuild scanner key on — ``(name, mtime_ns, size)`` per
-file — so all three subsystems agree about what "changed" means.  The
-per-file cache stores *raw* diagnostics (rule-default severities) plus
-the distilled :class:`~repro.lint.document.DocumentInfo` and the file's
+file, from :func:`repro.ioutil.file_fingerprint` — so all three
+subsystems agree about what "changed" means.  The per-file cache stores
+*raw* diagnostics (rule-default severities) plus the distilled
+:class:`~repro.lint.document.DocumentInfo` and the file's
 suppression comments; severity overrides, disabled rules, and suppression
 filtering are applied at report time, so reconfiguring the linter never
 invalidates the cache.
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
 
+from repro.ioutil import file_fingerprint
 from repro.lint import (
     cachefile,
     forksafety,
@@ -63,13 +65,7 @@ rule("lint-internal-error", "engine", Severity.ERROR,
 
 _T = TypeVar("_T")
 
-Fingerprint = tuple[str, int, int]
-
-
-def _fingerprint(path: Path) -> Fingerprint:
-    """Same scheme as ``catalog._corpus_fingerprint`` / ``rebuild.scan_content``."""
-    stat = path.stat()
-    return (path.name, stat.st_mtime_ns, stat.st_size)
+Fingerprint = tuple[str, int, int]      # repro.ioutil.file_fingerprint
 
 
 @dataclass
@@ -220,7 +216,7 @@ class LintEngine:
     def _analyze_content(self, path: Path) -> tuple[_ContentRow, bool]:
         key = str(path)
         try:
-            fingerprint = _fingerprint(path)
+            fingerprint = file_fingerprint(path)
             cached = self._content_cache.get(key)
             if cached is not None and cached[0] == fingerprint:
                 return cached, True
@@ -246,7 +242,7 @@ class LintEngine:
     def _analyze_code(self, path: Path) -> tuple[_CodeRow, bool]:
         key = str(path)
         try:
-            fingerprint = _fingerprint(path)
+            fingerprint = file_fingerprint(path)
             cached = self._code_cache.get(key)
             if cached is not None and cached[0] == fingerprint:
                 return cached, True
@@ -309,7 +305,7 @@ class LintEngine:
                 continue
             row = cache.get(str(path))
             try:
-                fresh = row is not None and row[0] == _fingerprint(path)
+                fresh = row is not None and row[0] == file_fingerprint(path)
             except OSError:
                 fresh = False
             if fresh:

@@ -295,19 +295,27 @@ class ServeApp:
             except DeadlineExceeded as exc:
                 self.metrics.record_deadline_expired()
                 response = Response.error(503, str(exc), route="<deadline>")
-                response.headers.append(("Retry-After", "1"))
+                response.headers.append(("Retry-After", self._retry_after()))
             except (RetryError, InjectedFault) as exc:
                 # Render failed even after retries: degrade honestly with
                 # a retryable 503, never an unhandled 500.
                 self.metrics.record_degraded()
                 response = Response.error(
                     503, f"temporarily degraded: {exc}", route="<degraded>")
-                response.headers.append(("Retry-After", "1"))
+                response.headers.append(("Retry-After", self._retry_after()))
             except Exception as exc:            # pragma: no cover - safety net
                 response = Response.error(
                     500, f"internal error: {type(exc).__name__}", route="<error>")
 
         return self._finish(environ, start_response, response, started)
+
+    def _retry_after(self) -> str:
+        """``Retry-After`` for a retryable 503, priced like a shed: the
+        shedder's pressure-scaled hint when one fronts the app, else its
+        one-second base, bounded either way by :func:`bounded_retry_after`."""
+        if self.shedder is not None:
+            return str(self.shedder.retry_after())
+        return str(bounded_retry_after(1.0))
 
     def _finish(self, environ, start_response, response: Response, started):
         method = environ.get("REQUEST_METHOD", "GET").upper()

@@ -12,11 +12,18 @@ their signatures, so a subsequent ``site.build(out, incremental=True)``
 
 Incremental pieces carried across generations:
 
+* parsed activities — :meth:`~repro.activities.catalog.Catalog.from_directory`
+  reparses only the files whose ``(name, mtime_ns, size)`` fingerprint
+  moved and reuses the live generation's :class:`Activity` for the rest,
+* pages — :meth:`~repro.activities.catalog.Catalog.site` reuses the live
+  generation's :class:`~repro.sitegen.site.Page` for every reused
+  activity (neither is ever mutated, so sharing them is safe; each
+  generation still gets its own ``Site``, taxonomy index and plan),
 * build signatures (so a static export after a refresh re-renders only
   dirty files),
 * the search index — patched via
   :meth:`~repro.sitegen.search.SearchIndex.patched_from_catalog` for just
-  the changed source documents instead of re-tokenizing all 38.
+  the changed source documents instead of re-tokenizing the corpus.
 
 Refreshing is safe under the multi-worker server: a non-blocking mutex
 ensures exactly one thread rebuilds while the rest keep serving the old
@@ -47,30 +54,23 @@ from pathlib import Path
 from typing import Callable
 
 from repro import sanitize
-from repro.activities.catalog import Catalog, corpus_dir
+from repro.activities.catalog import Catalog, corpus_dir, scan_content
 from repro.sitegen.search import SearchIndex
 from repro.sitegen.site import RenderTask, Site, SiteConfig
 
 __all__ = ["ServerState", "RebuildManager", "RebuildResult",
-           "BackgroundRebuilder", "scan_content"]
-
-
-def scan_content(content_dir: str | Path) -> dict[str, tuple[int, int]]:
-    """Fingerprint a content tree: file name -> (mtime_ns, size)."""
-    directory = Path(content_dir)
-    return {
-        path.name: (path.stat().st_mtime_ns, path.stat().st_size)
-        for path in sorted(directory.glob("*.md"))
-    }
+           "BackgroundRebuilder"]
 
 
 class ServerState:
     """One generation of the served corpus: catalog + site + plan + search."""
 
     def __init__(self, catalog: Catalog, config: SiteConfig | None = None,
-                 search: SearchIndex | None = None):
+                 search: SearchIndex | None = None,
+                 previous: "ServerState | None" = None):
         self.catalog = catalog
-        self.site: Site = catalog.site(config)
+        self.site: Site = catalog.site(
+            config, previous=previous.catalog if previous else None)
         self.search = search if search is not None else SearchIndex.from_catalog(catalog)
         self.plan: list[RenderTask] = self.site.render_plan()
         self.plan_by_url: dict[str, RenderTask] = {t.url: t for t in self.plan}
@@ -201,9 +201,11 @@ class RebuildManager:
         try:
             if self.faults is not None:
                 self.faults.maybe_fail("rebuild")
-            catalog = Catalog.from_directory(self.content_dir)
+            catalog = Catalog.from_directory(self.content_dir,
+                                             previous=self.state.catalog)
             search = self.state.search.patched_from_catalog(catalog, dirty_names)
-            new_state = ServerState(catalog, self.config, search=search)
+            new_state = ServerState(catalog, self.config, search=search,
+                                    previous=self.state)
         except Exception as exc:           # keep serving the old generation;
             # the fingerprint is deliberately NOT advanced, so the next
             # check retries the build instead of waiting for another edit

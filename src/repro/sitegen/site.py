@@ -240,6 +240,7 @@ class Site:
     ):
         self.config = config or SiteConfig()
         self.pages: list[Page] = []
+        self._pages_by_name: dict[str, Page] = {}
         self.index = TaxonomyIndex(self.config.taxonomies, strategy=self.config.strategy)
         theme = dict(theme or DEFAULT_THEME)
         self.env = TemplateEnvironment(theme)
@@ -258,8 +259,9 @@ class Site:
     # -- content -----------------------------------------------------------
 
     def add_page(self, page: Page) -> None:
-        if any(p.name == page.name for p in self.pages):
+        if page.name in self._pages_by_name:
             raise SiteError(f"duplicate page name {page.name!r}")
+        self._pages_by_name[page.name] = page
         self.pages.append(page)
         self.index.add_page(page)
 
@@ -277,10 +279,10 @@ class Site:
         return count
 
     def page(self, name: str) -> Page:
-        for p in self.pages:
-            if p.name == name:
-                return p
-        raise SiteError(f"no page named {name!r}")
+        try:
+            return self._pages_by_name[name]
+        except KeyError:
+            raise SiteError(f"no page named {name!r}") from None
 
     # -- rendering ---------------------------------------------------------
 

@@ -17,6 +17,7 @@ ablates them.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -42,8 +43,15 @@ class PageLike(Protocol):
     def params(self) -> Mapping[str, object]: ...
 
 
+@functools.lru_cache(maxsize=4096)
 def slugify(term: str) -> str:
-    """Build a URL slug for a term, mirroring Hugo's urlize behaviour."""
+    """Build a URL slug for a term, mirroring Hugo's urlize behaviour.
+
+    Memoized: a render plan slugs every term and page URL it lists, and
+    the inputs repeat across plans.  The function is pure over an
+    immutable ``str`` and ``lru_cache`` never caches a raised error, so
+    an empty slug raises :class:`SiteError` on every call.
+    """
     out: list[str] = []
     prev_dash = False
     for ch in term.strip().lower():

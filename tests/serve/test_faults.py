@@ -38,7 +38,9 @@ from repro.serve.resilience import (
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
+    MAX_RETRY_AFTER_S,
     LoadShedder,
+    bounded_retry_after,
 )
 from repro.serve.retrypolicy import RetryError, RetryPolicy, is_transient
 from repro.serve.workers import PoolSaturated, WorkerPool
@@ -633,6 +635,34 @@ class TestDegradedRenders:
         # One injected failure, one retry: the client never notices.
         assert call_app(app, "/").status == 200
         assert faults.total_injected == 1
+
+
+class TestRetryAfterBounds:
+    """Deadline and degraded 503s price Retry-After like the shed path."""
+
+    FAULTS = {
+        "deadline": (FaultRule("render", "latency", 1.0, latency_s=0.05),
+                     10, "deadline_expired"),
+        "degraded": (FaultRule("render", "error", 1.0), None, "degraded"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    @pytest.mark.parametrize("base_s", [None, 0.01, 5.0, 3600.0])
+    def test_hint_is_a_bounded_integer(self, content, kind, base_s):
+        rule, timeout_ms, counter = self.FAULTS[kind]
+        app = create_app(content_dir=content, watch=False,
+                         faults=FaultPlan([rule]),
+                         request_timeout_ms=timeout_ms,
+                         max_inflight=4 if base_s is not None else None)
+        if base_s is not None:
+            app.shedder.retry_after_s = base_s
+        response = call_app(app, "/")
+        assert response.status == 503
+        assert app.metrics.snapshot()["resilience"][counter] == 1
+        hint = int(response.headers["Retry-After"])
+        assert 1 <= hint <= MAX_RETRY_AFTER_S
+        if base_s is not None:
+            assert hint == bounded_retry_after(base_s)
 
 
 class TestShedding:

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import random
 import shutil
+import sys
+import threading
 
 import pytest
 
-from repro.activities.catalog import corpus_dir
+from repro.activities.catalog import corpus_dir, scan_content
+from repro.activities.parser import parse_activity_file
+from repro.activities.writer import write_activity, write_activity_file
 from repro.serve import ServeApp, create_app
 from repro.serve.loadgen import call_app
-from repro.serve.rebuild import RebuildManager, scan_content
+from repro.serve.rebuild import RebuildManager, ServerState
 
 
 @pytest.fixture()
@@ -21,11 +27,15 @@ def content(tmp_path):
     return dst
 
 
-def touch_append(path, text):
-    path.write_text(path.read_text(encoding="utf-8") + text, encoding="utf-8")
-    # mtime granularity can swallow fast successive edits; force it forward.
+def _bump(path):
+    """Move a file's mtime strictly forward (coarse clocks swallow edits)."""
     stat = path.stat()
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+
+
+def touch_append(path, text):
+    path.write_text(path.read_text(encoding="utf-8") + text, encoding="utf-8")
+    _bump(path)
 
 
 class TestScanContent:
@@ -217,3 +227,184 @@ class TestIncrementalSearchPatch:
 
         payload = _json.loads(response.body)
         assert [h["name"] for h in payload["hits"]] == ["gardeners"]
+
+
+# -- incremental vs from-scratch generations ---------------------------------
+
+#: Fixed queries compared between the incremental and the fresh index.
+QUERIES = ("parallel", "cards", "sort", "leader election", "touch",
+           "revised", "xylophones")
+
+
+def _rewrite(content, name, **changes):
+    """Rewrite one activity file with some fields replaced."""
+    path = content / f"{name}.md"
+    activity = dataclasses.replace(parse_activity_file(path), **changes)
+    path.write_text(write_activity(activity), encoding="utf-8")
+    _bump(path)
+
+
+def _render_all(state):
+    return {task.url: task.render().encode("utf-8") for task in state.plan}
+
+
+def _assert_matches_fresh(state, content):
+    fresh = ServerState.from_content_dir(content)
+    assert state.catalog.names == fresh.catalog.names
+    assert state.catalog.activities == fresh.catalog.activities
+    assert state.signatures == fresh.signatures
+    assert state.corpus_signature == fresh.corpus_signature
+    assert _render_all(state) == _render_all(fresh)
+    for query in QUERIES:
+        assert (
+            [(h.name, h.title, round(h.score, 9), h.matched_terms)
+             for h in state.search.search(query)]
+            == [(h.name, h.title, round(h.score, 9), h.matched_terms)
+                for h in fresh.search.search(query)]
+        ), query
+
+
+class TestIncrementalMatchesFromScratch:
+    """Every refreshed generation equals one built from scratch."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Activities returned by each parse, in call order."""
+        import repro.activities.catalog as catalog_mod
+
+        calls = []
+        original = catalog_mod.parse_activity_file
+
+        def counting(path):
+            activity = original(path)
+            calls.append(activity)
+            return activity
+
+        monkeypatch.setattr(catalog_mod, "parse_activity_file", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_edit_script(self, content, parses, seed):
+        manager = RebuildManager(content, min_interval_s=0.0)
+        names = sorted(path.stem for path in content.glob("*.md"))
+        random.Random(seed).shuffle(names)
+        picks = iter(names)
+
+        def refresh_ok(expect_parses):
+            old = manager.state
+            before = _render_all(old)
+            del parses[:]
+            result = manager.refresh()
+            assert result is not None and result.ok, result and result.error
+            assert len(parses) == expect_parses
+            # Workers may still be serving the old generation: sharing
+            # activities and pages must not change what it renders.
+            assert _render_all(old) == before
+            _assert_matches_fresh(manager.state, content)
+            return result
+
+        # A body edit reparses exactly the edited file.
+        body = next(picks)
+        touch_append(content / f"{body}.md", "\nAn extra teaching note.\n")
+        assert refresh_ok(expect_parses=1).dirty_urls == \
+            [f"/activities/{body}/"]
+        # Unchanged activities and their pages are carried over.
+        kept = next(picks)
+        previous = manager.state
+        _rewrite(content, kept, title="Retitled Revised")
+        refresh_ok(expect_parses=1)
+        other = next(n for n in names if n not in (body, kept))
+        assert manager.state.catalog.get(other) is \
+            previous.catalog.get(other)
+        assert manager.state.site.page(other) is previous.site.page(other)
+        assert manager.state.site.page(kept) is not previous.site.page(kept)
+
+        # A tag add and a tag drop.
+        added = next(picks)
+        senses = parse_activity_file(content / f"{added}.md").senses
+        extra = next(s for s in ("sound", "movement", "visual", "touch")
+                     if s not in senses)
+        _rewrite(content, added, senses=[*senses, extra])
+        refresh_ok(expect_parses=1)
+        dropped = next(n for n in picks
+                       if parse_activity_file(content / f"{n}.md").courses)
+        courses = parse_activity_file(content / f"{dropped}.md").courses
+        _rewrite(content, dropped, courses=courses[:-1])
+        refresh_ok(expect_parses=1)
+
+        # A new file, then a deletion.
+        source = next(picks)
+        copy = parse_activity_file(content / f"{source}.md")
+        write_activity_file(
+            dataclasses.replace(copy, name=f"{source}copy",
+                                title=f"{copy.title} Copy"), content)
+        refresh_ok(expect_parses=1)
+        (content / f"{next(picks)}.md").unlink()
+        refresh_ok(expect_parses=0)
+
+        # A touch that bumps the mtime only: reparsed, nothing dirty.
+        touched = next(picks)
+        _bump(content / f"{touched}.md")
+        assert refresh_ok(expect_parses=1).dirty_urls == []
+
+        # A broken edit beside a good one fails closed, and the retry
+        # after the fix reuses nothing from the failed parse.
+        good, broken = sorted((next(picks), next(picks)))
+        touch_append(content / f"{good}.md", "\nA note on xylophones.\n")
+        broken_path = content / f"{broken}.md"
+        saved = broken_path.read_text(encoding="utf-8")
+        broken_path.write_text("---\nbroken: [\n", encoding="utf-8")
+        live = manager.state
+        del parses[:]
+        failed = manager.refresh()
+        assert failed is not None and not failed.ok
+        assert manager.state is live
+        from_failed = list(parses)
+        assert [a.name for a in from_failed] == [good]
+        broken_path.write_text(saved, encoding="utf-8")
+        _bump(broken_path)
+        refresh_ok(expect_parses=2)
+        assert all(manager.state.catalog.get(a.name) is not a
+                   for a in from_failed)
+
+    def test_readers_of_old_generations_during_refreshes(self, content):
+        """Threads render whichever generation is live while refreshes
+        swap in new ones that share its activities and pages; every
+        render must equal a render of the same generation made after
+        the threads stop."""
+        manager = RebuildManager(content, min_interval_s=0.0)
+        urls = ["/", "/activities/gardeners/", "/senses/touch/",
+                "/activities/findsmallestcard/"]
+        seen, stop = [], threading.Event()
+
+        def reader(offset):
+            i = offset
+            while not stop.is_set():
+                state = manager.state
+                url = urls[i % len(urls)]
+                seen.append((state, url,
+                             state.plan_by_url[url].render()))
+                i += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader, args=(n,), daemon=True)
+                   for n in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for n in range(5):
+                touch_append(content / "gardeners.md", f"\nNote {n}.\n")
+                assert manager.refresh().ok
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        bodies = {}
+        for state, url, body in seen:
+            bodies.setdefault((state, url), set()).add(body)
+        assert len({state for state, _ in bodies}) > 1
+        for (state, url), renders in bodies.items():
+            assert renders == {state.plan_by_url[url].render()}, url

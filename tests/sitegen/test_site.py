@@ -110,6 +110,18 @@ class TestBuild:
         with pytest.raises(SiteError, match="duplicate"):
             site.add_page(Page.from_text("other", "---\ntitle: \"O\"\n---\n"))
 
+    def test_duplicate_leaves_site_unchanged(self, site):
+        original = site.page("other")
+        with pytest.raises(SiteError, match="duplicate page name 'other'"):
+            site.add_page(Page.from_text("other", "---\ntitle: \"O\"\n---\n"))
+        assert site.page("other") is original
+        assert [p.name for p in site.pages] == ["findsmallestcard", "other"]
+
+    def test_page_lookup(self, site):
+        assert site.page("findsmallestcard").title == "FindSmallestCard"
+        with pytest.raises(SiteError, match="no page named 'missing'"):
+            site.page("missing")
+
     def test_missing_content_dir_rejected(self):
         with pytest.raises(SiteError, match="does not exist"):
             Site().load_content("/nonexistent/path")

@@ -52,6 +52,23 @@ class TestSlugify:
         with pytest.raises(SiteError):
             slugify("&&&")
 
+    def test_empty_slug_raises_on_every_call(self):
+        # lru_cache stores return values only: a cached error would let
+        # the second call fall through silently.
+        for _ in range(3):
+            with pytest.raises(SiteError, match="empty slug"):
+                slugify("&&&")
+
+    def test_cache_is_bounded(self):
+        assert slugify.cache_info().maxsize is not None
+
+    def test_cached_results_equal_uncached(self):
+        uncached = slugify.__wrapped__
+        for term in ("PD_ParallelAlgorithms", "Parallel Decomposition",
+                     "a  &  b", "  Trim me  ", "x-y_z"):
+            assert slugify(term) == uncached(term)
+            assert slugify(term) == uncached(term)      # now a cache hit
+
 
 class TestIndexing:
     @pytest.mark.parametrize("strategy", ["indexed", "scan"])
