@@ -1,11 +1,11 @@
-"""EXPERIMENT S-LINT -- the lint engine cold, warm, and parallel.
+"""EXPERIMENT S-LINT -- the lint engine cold and warm.
 
 Measures what the incremental-analysis claims rest on:
 
 * a cold full lint of the shipped 38-activity corpus + serve code,
 * a warm lint through the persistent cross-run cache (a fresh engine
   over a seeded ``cache_dir`` -- exactly what a new process sees),
-* the code pass serial vs ``--jobs 4`` under the GC parse guard,
+* the code pass alone (AST analysis of the serve layer),
 * the ``--fix --check`` dry run CI gates on.
 
 Every run is over the same shipped corpus, so numbers are comparable
@@ -14,16 +14,11 @@ across machines and runs.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.activities.catalog import corpus_dir
 from repro.lint import LintConfig, LintEngine
 from repro.lint.fixes import check_fixes
-
-MULTICORE = (os.cpu_count() or 1) >= 2
-
 
 def _config(**overrides) -> LintConfig:
     return LintConfig(content_dir=corpus_dir(), **overrides)
@@ -77,36 +72,15 @@ def test_warm_speedup_measured(tmp_path):
     assert speedup > 1.5
 
 
-@pytest.mark.benchmark(group="lint-jobs")
+@pytest.mark.benchmark(group="lint-code")
 def test_code_pass_serial(benchmark):
-    """The AST pass over the serve layer, one thread."""
+    """The AST pass over the serve layer, without content or site."""
 
     def lint():
-        return LintEngine(_config(content=False, site=False, jobs=1)).lint()
+        return LintEngine(_config(content=False, site=False)).lint()
 
     result = benchmark(lint)
     assert result.stats.files_total > 1
-
-
-@pytest.mark.benchmark(group="lint-jobs")
-def test_code_pass_parallel(benchmark):
-    """Same pass with ``--jobs 4``; the GC guard replaces the old
-    serializing lock, so analyzers genuinely overlap."""
-
-    def lint():
-        return LintEngine(_config(content=False, site=False, jobs=4)).lint()
-
-    result = benchmark(lint)
-    assert result.stats.files_total > 1
-
-
-def test_parallel_matches_serial():
-    """Byte-identical reports regardless of --jobs (determinism claim)."""
-    from repro.lint import render_json
-
-    serial = LintEngine(_config(jobs=1)).lint()
-    parallel = LintEngine(_config(jobs=4)).lint()
-    assert render_json(serial) == render_json(parallel)
 
 
 @pytest.mark.benchmark(group="lint-fix")

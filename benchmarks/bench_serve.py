@@ -7,6 +7,8 @@ Measures what the ROADMAP's "serves heavy traffic" claim rests on:
 * the conditional-request (If-None-Match -> 304) revalidation path,
 * full rebuild vs incremental rebuild after a single content edit.
 
+The full static export is timed by ``bench_site_build.py``.
+
 All load streams are seeded -- identical requests across runs.
 """
 
@@ -141,7 +143,7 @@ def test_metrics_after_load_run():
 
 
 # --------------------------------------------------------------------------
-# EXPERIMENT S-CONC -- concurrent serving, warm starts, parallel builds.
+# EXPERIMENT S-CONC -- concurrent serving and warm starts.
 #
 # Thread speedups only exist where the host grants real parallelism; on a
 # single-core runner the GIL serialises render work, so speedup assertions
@@ -215,49 +217,6 @@ def test_warm_start_hit_ratio(tmp_path):
           f"warm {warm_first_ratio:.2%} ({warm.warm_loaded} entries loaded)")
     assert warm_first_ratio > 0.5
     assert warm_first_ratio > cold_first_ratio
-
-
-@pytest.mark.benchmark(group="serve-build")
-def test_parallel_build(benchmark, tmp_path):
-    """Full export with ``jobs=4``; byte-identical to the serial build."""
-    app = create_app(watch=False)
-    serial = tmp_path / "serial"
-    app.state.site.build(serial, jobs=1)
-
-    out = tmp_path / "parallel"
-
-    def build():
-        return app.state.site.build(out, jobs=4)
-
-    stats = benchmark(build)
-    assert stats.jobs == 4
-    assert stats.total_files == 170
-    serial_bytes = {p.relative_to(serial): p.read_bytes()
-                    for p in serial.rglob("*") if p.is_file()}
-    parallel_bytes = {p.relative_to(out): p.read_bytes()
-                      for p in out.rglob("*") if p.is_file()}
-    assert serial_bytes == parallel_bytes
-
-
-def test_parallel_build_speedup_measured(tmp_path):
-    import time
-
-    app = create_app(watch=False)
-    timings = {}
-    for jobs in (1, 4):
-        out = tmp_path / f"jobs{jobs}"
-        started = time.perf_counter()
-        app.state.site.build(out, jobs=jobs)
-        timings[jobs] = time.perf_counter() - started
-    speedup = timings[1] / timings[4]
-    print()
-    print(f"build: jobs=1 {timings[1]*1e3:,.0f} ms, "
-          f"jobs=4 {timings[4]*1e3:,.0f} ms "
-          f"({speedup:.2f}x, {os.cpu_count()} cpu)")
-    if MULTICORE:
-        assert speedup > 1.2
-    else:
-        assert timings[4] < timings[1] * 2.0    # scheduling overhead bounded
 
 
 def test_mixed_traffic_tail_latency():

@@ -3,7 +3,7 @@
 Subcommands::
 
     pdcunplugged report [table1|table2|courses|accessibility|resources|categories|gaps|all]
-    pdcunplugged build <output-dir> [--jobs N]   # render the static site
+    pdcunplugged build <output-dir>          # render the static site
     pdcunplugged new <name> <content-dir>    # scaffold an activity (Fig. 1)
     pdcunplugged validate                    # validate the shipped corpus
     pdcunplugged simulate <activity> [-n N] [--seed S]
@@ -17,7 +17,7 @@ Subcommands::
                        [--request-timeout-ms B] [--fault-spec SPEC]
                        [--sweep-workers N] [--sweep-max-jobs J]
                                              # live site + JSON API server
-    pdcunplugged lint [--format text|json|sarif] [--jobs N] [--fix]
+    pdcunplugged lint [--format text|json|sarif] [--fix]
                       [--cache-dir D] [--baseline F]
                                              # static analysis (repro.lint)
 """
@@ -51,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="render the static site")
     build.add_argument("output", help="output directory")
     build.add_argument("--strategy", choices=["indexed", "scan"], default="indexed")
-    build.add_argument("--jobs", type=int, default=1,
-                       help="render independent pages on N threads")
 
     new = sub.add_parser("new", help="scaffold a new activity from the template")
     new.add_argument("name")
@@ -187,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="content directory (default: the packaged corpus)")
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text", help="report format")
-    lint.add_argument("--jobs", type=int, default=1,
-                      help="analyze files on N threads")
     lint.add_argument("--fail-on", choices=["info", "warning", "error"],
                       default="error",
                       help="exit 1 when a finding at or above this severity "
@@ -197,16 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="RULE=LEVEL",
                       help="override one rule's severity (repeatable)")
     lint.add_argument("--disable", action="append", default=[],
-                      metavar="RULE", help="disable one rule (repeatable)")
+                      metavar="RULES",
+                      help="disable these rule ids (repeatable, "
+                           "comma-separable)")
     lint.add_argument("--select", action="append", default=[],
                       metavar="RULES",
                       help="report only these rule ids (repeatable, "
                            "comma-separable); report-time filtering that "
                            "composes with the cache")
-    lint.add_argument("--ignore", action="append", default=[],
-                      metavar="RULES",
-                      help="drop these rule ids from the report "
-                           "(repeatable, comma-separable alias of --disable)")
     lint.add_argument("--no-site", action="store_true",
                       help="skip the site pass (templates, archetype, terms)")
     lint.add_argument("--no-code", action="store_true",
@@ -259,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="RULE=LEVEL",
                      help="override one rule's severity (repeatable)")
     san.add_argument("--disable", action="append", default=[],
-                     metavar="RULE", help="disable one rule (repeatable)")
+                     metavar="RULES",
+                     help="disable these rule ids (repeatable, "
+                          "comma-separable)")
     san.add_argument("--select", action="append", default=[],
                      metavar="RULES",
                      help="report only these rule ids (repeatable, "
@@ -327,10 +323,9 @@ def main(argv: list[str] | None = None) -> int:
 
         catalog = load_default_catalog()
         site = catalog.site(SiteConfig(strategy=args.strategy))
-        stats = site.build(args.output, jobs=args.jobs)
+        stats = site.build(args.output)
         print(f"rendered {stats.total_files} files to {stats.output_dir} "
-              f"in {stats.duration_s * 1000:.1f} ms "
-              f"({stats.jobs} job{'s' if stats.jobs != 1 else ''})")
+              f"in {stats.duration_s * 1000:.1f} ms")
         return 0
 
     if args.command == "new":
@@ -608,11 +603,10 @@ def _run_lint(args) -> int:
     config = LintConfig(
         content_dir=Path(args.content_dir) if args.content_dir
         else corpus_dir(),
-        jobs=args.jobs,
         site=not args.no_site,
         code=not args.no_code,
         severity_overrides=overrides,
-        disabled=frozenset(args.disable) | _split_rule_args(args.ignore),
+        disabled=_split_rule_args(args.disable),
         selected=_split_rule_args(args.select) or None,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         baseline=(Path(args.baseline)
@@ -732,7 +726,7 @@ def _run_sanitize(args) -> int:
         result = finalize(
             diagnostics,
             severity_overrides=overrides,
-            disabled=frozenset(args.disable),
+            disabled=_split_rule_args(args.disable),
             selected=_split_rule_args(args.select) or None,
             baseline=(Path(args.baseline)
                       if args.baseline and not args.write_baseline

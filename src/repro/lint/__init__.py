@@ -1,4 +1,4 @@
-"""repro.lint — incremental, parallel static analysis for the repository.
+"""repro.lint — incremental static analysis for the repository.
 
 Three passes over three artifact kinds:
 

@@ -11,8 +11,8 @@ passes:
   (undefined partials/variables, archetype drift, orphan terms),
 * ``code``    — concurrency-hygiene AST checks over the serving layer.
 
-Diagnostics are value objects ordered by a stable key so a parallel lint
-run prints byte-identically to a serial one.  Severity overrides are
+Diagnostics are value objects ordered by a stable key so a report does
+not depend on the order files were analyzed in.  Severity overrides are
 applied at *report* time, never baked into cached diagnostics, so a config
 change does not invalidate the per-file cache.
 

@@ -1,4 +1,4 @@
-"""The lint engine: incremental, parallel, deterministic.
+"""The lint engine: incremental and deterministic.
 
 Incrementality uses the same content fingerprint the activity catalog and
 the serve layer's rebuild scanner key on — ``(name, mtime_ns, size)`` per
@@ -14,10 +14,9 @@ Corpus-scope rules (duplicate slugs, internal links, orphan terms) re-run
 on every lint over the cached ``DocumentInfo`` set — they are cheap, and
 their verdicts legitimately depend on files that did *not* change.
 
-Parallelism fans per-file analysis out over a thread pool; results are
-keyed by filename and the final report is globally sorted by
-:func:`~repro.lint.diagnostics.sort_key`, so parallel output is
-byte-identical to serial output.
+The final report is globally sorted by
+:func:`~repro.lint.diagnostics.sort_key`, so output does not depend on
+the order files are listed or analyzed in.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import sys
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
@@ -76,7 +74,6 @@ class LintConfig:
     code_dir: Path | None = None         # default: repro.serve package dir
     theme: Mapping[str, str] | None = None
     archetype_sections: tuple[str, ...] | None = None
-    jobs: int = 1
     content: bool = True
     site: bool = True
     code: bool = True
@@ -100,8 +97,6 @@ class LintConfig:
         if unknown:
             raise ValueError(
                 f"unknown lint rule(s): {', '.join(sorted(unknown))}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass
@@ -258,29 +253,17 @@ class LintEngine:
         self._cache_dirty = True
         return row, False
 
-    def _map(self, paths: list[Path], analyze, stats: LintStats,
-             jobs: int | None = None) -> list:
-        """Apply ``analyze`` over ``paths``, optionally in parallel.
-
-        Results come back ordered by input path regardless of worker
-        scheduling, and stats are tallied serially afterwards; the final
-        global sort makes parallel output byte-identical to serial output.
-        ``jobs`` overrides the configured width for passes that must not
-        fan out.
-        """
-        if jobs is None:
-            jobs = self.config.jobs
-        if jobs > 1 and len(paths) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(analyze, paths))
-        else:
-            results = [analyze(path) for path in paths]
-        for _row, was_cached in results:
+    def _map(self, paths: list[Path], analyze, stats: LintStats) -> list:
+        """Apply ``analyze`` over ``paths``, tallying cached vs analyzed."""
+        rows = []
+        for path in paths:
+            row, was_cached = analyze(path)
             if was_cached:
                 stats.files_cached += 1
             else:
                 stats.files_analyzed += 1
-        return [row for row, _was_cached in results]
+            rows.append(row)
+        return rows
 
     # -- --changed restriction ----------------------------------------------
 

@@ -234,9 +234,9 @@ def _parse(source: str) -> ast.Module:
     with ``SystemError: AST constructor recursion depth mismatch``.  It is
     not a real syntax problem: pausing collection around the parse
     (reference counting still runs) avoids it entirely.  The counting
-    guard lets the engine fan parses over a thread pool (GC is off while
-    *any* parse runs, restored when the last finishes); a fresh-thread
-    retry backstops anything that still slips through.
+    guard keeps that true for concurrent callers of :func:`analyze_source`
+    (GC is off while *any* parse runs, restored when the last finishes); a
+    fresh-thread retry backstops anything that still slips through.
     """
     with _PARSE_GUARD:
         try:

@@ -172,11 +172,11 @@ class ServeApp:
         # into fleet-wide mode (merged registries, all-workers-warm).
         self.fleet = None
         self._clock = clock
-        # /api/lint report cache: (corpus signature, rendered payload).
+        # /api/lint engine and report cache (corpus signature, payload).
         # Guarded by _lint_lock; the lint run itself happens outside it.
         self._lint_lock = threading.Lock()
-        # Held only to swap the cached payload reference; the lint run
-        # itself happens outside — default budget is fine.
+        # Held only to create the engine or swap the cached payload
+        # reference — default budget is fine.
         sanitize.register_lock(self, "_lint_lock", "ServeApp._lint_lock")
         self._lint_engine = None
         self._lint_payload: dict | None = None
@@ -831,9 +831,11 @@ class ServeApp:
         (the same ``corpus_signature`` the cacheable API responses key
         on), so after a :class:`RebuildManager` swap the next request
         re-lints and every one after that is served from the snapshot.
-        The lint run happens *outside* ``_lint_lock`` — the engine
-        serializes itself — so concurrent requests never queue behind a
-        full analysis just to read the cached payload.
+        The engine is created once, under ``_lint_lock``; the lint run
+        happens *outside* it — the engine serializes itself — so
+        concurrent requests never queue behind a full analysis just to
+        read the cached payload.  Concurrent runs for one signature all
+        answer with the first payload stored.
 
         ``?rules=a,b`` narrows the report to those rule ids — applied to
         the cached payload after the fact, mirroring ``lint --select``:
@@ -856,10 +858,13 @@ class ServeApp:
             # Sharing the serve cache directory persists the lint
             # fingerprint table too, so a freshly started server's first
             # /api/lint re-analyzes only files changed since the last run.
-            engine = LintEngine(LintConfig(
-                content_dir=self.rebuilder.content_dir, jobs=4,
-                cache_dir=self.store.root if self.store is not None
-                else None))
+            cache_dir = self.store.root if self.store is not None else None
+            with self._lint_lock:
+                if self._lint_engine is None:
+                    self._lint_engine = LintEngine(LintConfig(
+                        content_dir=self.rebuilder.content_dir,
+                        cache_dir=cache_dir))
+                engine = self._lint_engine
         result = engine.lint()
         payload = {
             "signature": signature,
@@ -875,9 +880,10 @@ class ServeApp:
             },
         }
         with self._lint_lock:
-            self._lint_engine = engine
-            self._lint_payload = payload
-            self._lint_signature = signature
+            if self._lint_signature != signature:
+                self._lint_payload = payload
+                self._lint_signature = signature
+            payload = self._lint_payload
         return self._lint_response(payload, rules, route)
 
     @staticmethod

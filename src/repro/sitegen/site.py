@@ -26,15 +26,12 @@ signature matches the previous build, so editing one activity re-renders
 only that page plus the listing pages whose membership or entries changed.
 The serving layer (:mod:`repro.serve`) reuses the same plan to render
 pages on demand and to invalidate exactly the dirty URLs on rebuild.
-``Site.build(out, jobs=N)`` renders independent tasks on a thread pool;
-output bytes are identical to a serial build.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -136,7 +133,6 @@ class BuildStats:
     terms_skipped: int = 0
     files_removed: int = 0
     incremental: bool = False
-    jobs: int = 1
     duration_s: float = 0.0
     output_dir: Path | None = None
 
@@ -508,8 +504,8 @@ class Site:
         """
         self._built_signatures = dict(signatures)
 
-    def build(self, output_dir: str | Path, incremental: bool = False,
-              jobs: int = 1) -> BuildStats:
+    def build(self, output_dir: str | Path,
+              incremental: bool = False) -> BuildStats:
         """Render the site into ``output_dir``.
 
         With ``incremental=True``, a task whose signature matches the last
@@ -517,21 +513,13 @@ class Site:
         files no longer in the plan are deleted — so editing one activity
         re-renders only its page plus the listing pages whose membership
         or entries actually changed.
-
-        With ``jobs > 1``, pending tasks render on a thread pool.  Every
-        :class:`RenderTask` is independent (own output file, read-only view
-        of the site), so this is purely a scheduling change: the output is
-        byte-identical to a serial build regardless of completion order.
         """
-        if jobs < 1:
-            raise SiteError("build jobs must be >= 1")
         started = time.perf_counter()
         output = Path(output_dir)
         output.mkdir(parents=True, exist_ok=True)
-        stats = BuildStats(output_dir=output, incremental=incremental, jobs=jobs)
+        stats = BuildStats(output_dir=output, incremental=incremental)
 
         plan = self.render_plan()
-        pending: list[RenderTask] = []
         for task in plan:
             dest = output / task.rel_path
             if (incremental
@@ -542,22 +530,8 @@ class Site:
                 else:
                     stats.terms_skipped += 1
                 continue
-            pending.append(task)
-
-        def render_one(task: RenderTask) -> RenderTask:
-            dest = output / task.rel_path
             dest.parent.mkdir(parents=True, exist_ok=True)
             dest.write_text(task.render(), encoding="utf-8")
-            return task
-
-        if jobs > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=jobs,
-                                    thread_name_prefix="sitegen") as pool:
-                done = list(pool.map(render_one, pending))
-        else:
-            done = [render_one(task) for task in pending]
-        # Tallied on the build thread so BuildStats needs no locking.
-        for task in done:
             if task.is_page:
                 stats.pages_rendered += 1
             else:

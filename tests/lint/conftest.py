@@ -94,10 +94,9 @@ def write_corpus(tmp_path):
 def lint_dir(write_corpus):
     """Lint a corpus written from keyword args; content pass only."""
 
-    def _lint(jobs: int = 1, site: bool = False, code: bool = False,
-              **files: str):
+    def _lint(site: bool = False, code: bool = False, **files: str):
         corpus = write_corpus(**files)
-        engine = LintEngine(LintConfig(content_dir=corpus, jobs=jobs,
+        engine = LintEngine(LintConfig(content_dir=corpus,
                                        site=site, code=code))
         return engine.lint()
 

@@ -15,7 +15,7 @@ def test_shipped_corpus_exits_zero(capsys):
 
 
 def test_stats_flag(capsys):
-    assert main(["lint", "--stats", "--jobs", "4"]) == 0
+    assert main(["lint", "--stats"]) == 0
     assert "analyzed" in capsys.readouterr().out
 
 
@@ -195,7 +195,7 @@ def test_select_keeps_only_listed_rules(write_corpus, capsys):
 def test_ignore_drops_listed_rules(write_corpus, capsys):
     corpus = write_corpus(good=MIXED)
     args = ["lint", "--content-dir", str(corpus), "--no-site", "--no-code"]
-    code = main(args + ["--ignore",
+    code = main(args + ["--disable",
                         "taxonomy-unknown-term,taxonomy-noncanonical-term"])
     assert code == 0
     assert capsys.readouterr().out.startswith("clean (")
@@ -214,7 +214,7 @@ def test_select_comma_and_repeat_forms_agree(write_corpus, capsys):
 
 def test_select_unknown_rule_is_usage_error(capsys):
     assert main(["lint", "--select", "no-such-rule"]) == 2
-    assert main(["lint", "--ignore", "no-such-rule"]) == 2
+    assert main(["lint", "--disable", "no-such-rule"]) == 2
 
 
 def test_select_composes_with_cache(write_corpus, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Engine behavior: incrementality, parallel determinism, report config."""
+"""Engine behavior: incrementality, determinism, report config."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.lint import LintConfig, LintEngine, Severity
-from repro.lint.reporters import render_text
 
 from tests.lint.conftest import GOOD, only
 
@@ -76,18 +75,6 @@ def test_corpus_rules_rerun_over_cached_files(write_corpus):
     assert len(only(result, "duplicate-title")) == 1
 
 
-def test_parallel_output_is_byte_identical_to_serial(write_corpus):
-    files = {f"act{i}": GOOD.replace('courses: ["CS1"]', 'courses: ["CS9"]')
-                            .replace("GoodActivity", f"Title{i}")
-             for i in range(12)}
-    corpus = write_corpus(**files)
-    serial = _engine(corpus, jobs=1).lint()
-    parallel = _engine(corpus, jobs=8).lint()
-    assert render_text(serial) == render_text(parallel)
-    assert [d.to_dict() for d in serial.diagnostics] == \
-           [d.to_dict() for d in parallel.diagnostics]
-
-
 def test_severity_override_applies_at_report_time(write_corpus):
     bad = GOOD.replace('courses: ["CS1"]', 'courses: ["CS9"]')
     corpus = write_corpus(good=bad)
@@ -142,5 +129,5 @@ def test_exit_code_thresholds(write_corpus):
 def test_shipped_corpus_lints_clean():
     from repro.activities.catalog import corpus_dir
 
-    result = LintEngine(LintConfig(content_dir=corpus_dir(), jobs=4)).lint()
+    result = LintEngine(LintConfig(content_dir=corpus_dir())).lint()
     assert result.diagnostics == []

@@ -249,24 +249,3 @@ class TestGcGuardedParallelParse:
             with _PARSE_GUARD:
                 assert not gc.isenabled()
         assert gc.isenabled()
-
-    def test_parallel_code_pass_matches_serial(self, tmp_path, write_corpus):
-        code_dir = tmp_path / "code"
-        code_dir.mkdir()
-        for index in range(6):
-            (code_dir / f"mod{index}.py").write_text(
-                _src(LOCKED_CLASS + """
-        def bump(self):
-            self.hits += 1
-    """), encoding="utf-8")
-        corpus = write_corpus()
-
-        def run(jobs: int):
-            engine = LintEngine(LintConfig(
-                content_dir=corpus, code_dir=code_dir, site=False,
-                jobs=jobs))
-            return [d.to_dict() for d in engine.lint().diagnostics]
-
-        serial, parallel = run(1), run(8)
-        assert serial == parallel
-        assert len(serial) == 6

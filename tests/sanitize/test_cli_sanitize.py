@@ -71,6 +71,12 @@ class TestSanitizeCommand:
         assert code == 0
         assert "sanitize-data-race" not in capsys.readouterr().out
 
+    def test_disable_takes_comma_separated_rules(self, capsys):
+        code = main(["sanitize", TARGET, "--no-crossref", "--disable",
+                     "sanitize-data-race,sanitize-lock-stall"])
+        assert code == 0
+        assert "sanitize-data-race" not in capsys.readouterr().out
+
     def test_unknown_select_rule_is_usage_error(self, capsys):
         code = main(["sanitize", TARGET, "--no-crossref",
                      "--select", "no-such-rule"])

@@ -99,6 +99,42 @@ def test_api_lint_concurrent_requests_agree(content_dir):
     assert len({p["signature"] for p in payloads}) == 1
 
 
+def test_api_lint_concurrent_first_requests_share_one_engine(
+        content_dir, monkeypatch):
+    """Two first requests build one engine and answer identically."""
+    import repro.lint
+
+    built = []
+    both_in_lint = threading.Barrier(2, timeout=10)
+
+    class CountingEngine(repro.lint.LintEngine):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+        def lint(self):
+            # Hold both requests here until both have fetched an engine,
+            # so neither run can finish and store one before the other
+            # request looks.
+            both_in_lint.wait()
+            return super().lint()
+
+    monkeypatch.setattr(repro.lint, "LintEngine", CountingEngine)
+    app = create_app(content_dir=content_dir, watch=False)
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(_get(app, "/api/lint")))
+        for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert len(built) == 1
+    assert [status for status, _ in results] == [200, 200]
+    assert results[0][1] == results[1][1]
+
+
 def test_api_lint_reports_fixable_findings(content_dir):
     page = content_dir / "actingoutalgorithms.md"
     page.write_text(

@@ -31,7 +31,7 @@ def app():
 @pytest.fixture(scope="module")
 def built_site(app, tmp_path_factory):
     out = tmp_path_factory.mktemp("site")
-    stats = app.state.site.build(out, jobs=4)
+    stats = app.state.site.build(out)
     return out, stats
 
 

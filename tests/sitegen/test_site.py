@@ -236,31 +236,3 @@ class TestIncrementalBuild:
         stats = one.build(out, incremental=True)
         assert stats.files_removed >= 1
         assert not (out / "activities" / "other" / "index.html").exists()
-
-
-class TestParallelBuild:
-    def _tree_bytes(self, root):
-        return {
-            str(p.relative_to(root)): p.read_bytes()
-            for p in root.rglob("*") if p.is_file()
-        }
-
-    def test_jobs_output_byte_identical_to_serial(self, site, tmp_path):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        one = site.build(serial, jobs=1)
-        four = site.build(parallel, jobs=4)
-        assert self._tree_bytes(serial) == self._tree_bytes(parallel)
-        assert one.total_files == four.total_files
-        assert one.jobs == 1 and four.jobs == 4
-
-    def test_jobs_respects_incremental_skips(self, site, tmp_path):
-        out = tmp_path / "out"
-        full = site.build(out, jobs=4)
-        stats = site.build(out, incremental=True, jobs=4)
-        assert stats.total_files == 0
-        assert stats.total_skipped == full.total_files
-
-    def test_jobs_validated(self, site, tmp_path):
-        with pytest.raises(SiteError):
-            site.build(tmp_path, jobs=0)
