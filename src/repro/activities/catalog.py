@@ -24,8 +24,10 @@ from typing import Callable, Iterable, Iterator
 
 from repro.activities.parser import parse_activity, parse_activity_file
 from repro.activities.schema import Activity, validate
+from repro.activities.writer import activity_document
 from repro.errors import ActivityError, ValidationError
 from repro.ioutil import file_fingerprint
+from repro.sitegen import frontmatter
 from repro.sitegen.site import Page, Site, SiteConfig
 from repro.sitegen.taxonomy import TaxonomyIndex
 
@@ -172,11 +174,11 @@ class Catalog:
         """Build a renderable :class:`Site` whose pages are the activities.
 
         An activity that is the *same object* in ``previous`` keeps the
-        :class:`Page` built for it there; only new or reparsed activities
-        go through the ``write_activity`` -> ``Page.from_text`` round trip.
+        :class:`Page` built for it there.  A new or reparsed activity's
+        page is built from its canonical header and body directly; the
+        file is not serialized and parsed a second time (see
+        :func:`_page_for`).
         """
-        from repro.activities.writer import write_activity
-
         site = Site(config)
         for activity in self._activities:
             page = None
@@ -184,10 +186,32 @@ class Catalog:
                     previous._by_name.get(activity.name) is activity:
                 page = previous._pages.get(activity.name)
             if page is None:
-                page = Page.from_text(activity.name, write_activity(activity))
+                page = _page_for(activity)
             self._pages[activity.name] = page
             site.add_page(page)
         return site
+
+
+def _page_for(activity: Activity) -> Page:
+    """The site page of one activity: ``Page.from_text(write_activity(a))``.
+
+    When every header value is a newline-free ``str`` or a list of them,
+    which holds for every parsed activity, serializing and reparsing
+    gives back the same header and body, so the page is built from them
+    directly.  Any other value (possible only for an activity built in
+    code) still takes the round trip, with its coercions and errors.
+    """
+    header, body = activity_document(activity)
+    if all(_plain(value) for value in header.values()):
+        return Page(activity.name, title=header["title"] or activity.name,
+                    body=body, _params=header)
+    return Page.from_text(activity.name, frontmatter.serialize(header, body))
+
+
+def _plain(value: object) -> bool:
+    if type(value) is list:
+        return all(type(item) is str and "\n" not in item for item in value)
+    return type(value) is str and "\n" not in value
 
 
 class _ActivityPage:

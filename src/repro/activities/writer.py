@@ -10,6 +10,11 @@ the parsed activity canonically", so every applied fix round-trips through
 the parser by construction.  ``extra_params`` lets that pipeline preserve
 front-matter keys the schema does not know about (they are a *diagnostic*,
 not something a rewrite may silently destroy).
+
+:func:`activity_document` stops one step short of text: it returns the
+header mapping and body that :func:`write_activity` serializes, so the
+catalog can build a site page straight from them (see
+:meth:`~repro.activities.catalog.Catalog.site`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Mapping
 from repro.activities.schema import SECTION_ORDER, Activity
 from repro.sitegen import frontmatter
 
-__all__ = ["write_activity", "write_activity_file"]
+__all__ = ["activity_document", "write_activity", "write_activity_file"]
 
 
 def write_activity(activity: Activity,
@@ -31,6 +36,13 @@ def write_activity(activity: Activity,
     schema keys, in their given order; keys that collide with schema keys
     are ignored (the activity's own values win).
     """
+    return frontmatter.serialize(*activity_document(activity, extra_params))
+
+
+def activity_document(
+    activity: Activity, extra_params: Mapping[str, object] | None = None,
+) -> tuple[dict[str, object], str]:
+    """The ``(header, body)`` pair :func:`write_activity` serializes."""
     header: dict[str, object] = {"title": activity.title}
     if activity.date:
         header["date"] = activity.date
@@ -56,8 +68,7 @@ def write_activity(activity: Activity,
         if text:
             parts.append(text)
             parts.append("")
-    body = "\n".join(parts)
-    return frontmatter.serialize(header, body)
+    return header, "\n".join(parts)
 
 
 def write_activity_file(activity: Activity, content_dir: str | Path) -> Path:

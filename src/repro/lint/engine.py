@@ -21,6 +21,7 @@ the order files are listed or analyzed in.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import traceback
@@ -282,8 +283,18 @@ class LintEngine:
             return paths, []
         analyze: list[Path] = []
         reused: list = []
+        # ``allowed`` holds resolved paths.  Resolve each directory once;
+        # only a file that is itself a symlink needs a full resolve.
+        resolved_dirs: dict[Path, Path] = {}
         for path in paths:
-            if str(path.resolve()) in allowed:
+            if os.path.islink(path):
+                resolved = path.resolve()
+            else:
+                parent = resolved_dirs.get(path.parent)
+                if parent is None:
+                    parent = resolved_dirs[path.parent] = path.parent.resolve()
+                resolved = parent / path.name
+            if str(resolved) in allowed:
                 analyze.append(path)
                 continue
             row = cache.get(str(path))

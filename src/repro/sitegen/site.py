@@ -74,6 +74,11 @@ class Page:
     body: str
     _params: dict = field(default_factory=dict)
     section: str = "activities"
+    # Memos, filled on first use: pages are never mutated, and every
+    # plan and listing render asks for each member's URL again.
+    _url: str | None = field(default=None, init=False, repr=False, compare=False)
+    _plan_signature: tuple | None = field(      # see Site._page_signature
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def params(self) -> Mapping[str, object]:
@@ -85,7 +90,10 @@ class Page:
 
     @property
     def url(self) -> str:
-        return f"/{self.section}/{self.slug}/"
+        url = self._url
+        if url is None:
+            url = self._url = f"/{self.section}/{self.slug}/"
+        return url
 
     @property
     def date(self) -> str:
@@ -426,9 +434,7 @@ class Site:
                 RenderTask(
                     f"{page.section}/{page.slug}/index.html",
                     "page",
-                    _hash(g, "page", page.title, page.body,
-                          sorted(page.params.items(), key=lambda kv: kv[0]),
-                          self._chip_context(page)),
+                    self._page_signature(page),
                     lambda p=page: self.render_page(p),
                 )
             )
@@ -477,6 +483,23 @@ class Site:
                     )
                 )
         return tasks
+
+    def _page_signature(self, page: Page) -> str:
+        """The plan signature of one page's single, memoized on the page.
+
+        It depends only on the page, the theme/config fingerprint and the
+        configured taxonomies (the chip context), so a :class:`Page` that
+        a later generation reuses keeps its signature while both match.
+        """
+        key = (self._global_fingerprint, self.config)
+        memo = page._plan_signature
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        signature = _hash(self._global_fingerprint, "page", page.title, page.body,
+                          sorted(page.params.items(), key=lambda kv: kv[0]),
+                          self._chip_context(page))
+        page._plan_signature = (key, signature)
+        return signature
 
     def _views(self) -> list:
         """The four §II-C browsing views over the current index."""

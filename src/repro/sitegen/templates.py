@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import html
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import TemplateError
 
@@ -265,6 +266,8 @@ _MISSING = _Missing()
 
 
 def _get(obj: Any, key: str) -> Any:
+    if type(obj) is dict:  # render contexts are plain dicts: skip the ABC check
+        return obj.get(key, _MISSING)
     if obj is None:
         return _MISSING
     if isinstance(obj, Mapping):

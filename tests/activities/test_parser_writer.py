@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.activities.catalog import Catalog, corpus_dir
 from repro.activities.parser import parse_activity, split_sections
 from repro.activities.schema import SECTION_ORDER, Activity
 from repro.activities.writer import write_activity, write_activity_file
-from repro.errors import ActivityError
+from repro.errors import ActivityError, FrontMatterError
+from repro.sitegen.site import Page
 
 DOC = """---
 title: "FindSmallestCard"
@@ -180,3 +182,72 @@ def test_roundtrip_property(title, terms, body_texts):
     for name, text in sections.items():
         assert again.sections.get(name, "") == text.strip("\n").strip() or \
             again.sections.get(name, "").strip() == text.strip()
+
+
+# -- Catalog.site builds each Page without the write -> parse round trip ------
+
+def _page_fields(page: Page) -> tuple:
+    """Every field of a Page, with the type of each header value."""
+    def typed(value):
+        if isinstance(value, list):
+            return [(type(v), v) for v in value]
+        return type(value), value
+
+    params = [(key, typed(value)) for key, value in page.params.items()]
+    return page.name, page.title, page.body, page.section, params
+
+
+def _outcome(build) -> tuple:
+    try:
+        return _page_fields(build())
+    except Exception as exc:  # the round trip's own parse error
+        return type(exc), str(exc)
+
+
+def _assert_direct_page_is_round_trip(activity: Activity) -> None:
+    direct = _outcome(lambda: Catalog([activity]).site().page(activity.name))
+    reparsed = _outcome(
+        lambda: Page.from_text(activity.name, write_activity(activity)))
+    assert direct == reparsed, activity.name
+
+
+class TestDirectPage:
+    def test_corpus_pages_equal_round_trip(self, catalog):
+        for activity in catalog:
+            _assert_direct_page_is_round_trip(activity)
+
+    def test_write_activity_output_unchanged(self, catalog):
+        """The shipped files are canonical, so writing one reproduces it."""
+        for activity in catalog:
+            path = corpus_dir() / f"{activity.name}.md"
+            assert write_activity(activity) == \
+                path.read_text(encoding="utf-8"), activity.name
+
+    def test_newline_in_a_value_takes_the_round_trip(self):
+        activity = Activity(name="nl", title="two\nlines", senses=["a\nb"])
+        with pytest.raises(FrontMatterError):
+            Catalog([activity]).site()
+
+
+_odd_text = st.text(alphabet=st.sampled_from('ab1 _"\'\\#,[]:-{\t\n'),
+                    max_size=8)
+
+
+@given(
+    title=st.one_of(
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=20),
+        _odd_text),
+    date=st.one_of(st.just(""), st.just("2020-01-02"), _odd_text),
+    terms=st.lists(st.one_of(_term, _odd_text.filter(bool)), max_size=4,
+                   unique=True),
+    body_texts=st.lists(_section_text, min_size=7, max_size=7),
+)
+def test_direct_page_equals_round_trip_property(title, date, terms,
+                                                body_texts):
+    """Catalog.site's Page equals Page.from_text(write_activity(a))."""
+    sections = dict(zip([s for s in SECTION_ORDER if s != "Details"],
+                        body_texts))
+    activity = Activity(name="prop", title=title, date=date, cs2013=terms,
+                        medium=list(terms[1:]), sections=sections)
+    _assert_direct_page_is_round_trip(activity)

@@ -114,6 +114,46 @@ class TestChangedRestriction:
         assert restricted.exit_code() == full.exit_code() == 1
 
 
+class TestChangedSymlinks:
+    """``changed_only`` holds resolved paths; symlinks resolve in full."""
+
+    def _corpus(self, write_corpus, tmp_path):
+        corpus = write_corpus(good=GOOD)
+        target = tmp_path / "elsewhere" / "target.md"
+        target.parent.mkdir()
+        target.write_text(GOOD, encoding="utf-8")
+        (corpus / "linked.md").symlink_to(target)
+        code_dir = tmp_path / "code"
+        _write_code(code_dir)
+        return corpus, code_dir, target
+
+    def test_symlinked_file_matches_its_target(self, write_corpus,
+                                               tmp_path):
+        corpus, code_dir, target = self._corpus(write_corpus, tmp_path)
+        changed = frozenset({str(target.resolve())})
+        result = _engine(corpus, code_dir, changed_only=changed).lint()
+        assert result.stats.files_analyzed == 1       # linked.md only
+        assert result.stats.files_skipped == 1        # good.md
+
+    def test_symlink_path_itself_is_not_its_resolution(self, write_corpus,
+                                                       tmp_path):
+        corpus, code_dir, _target = self._corpus(write_corpus, tmp_path)
+        changed = frozenset({str(corpus.resolve() / "linked.md")})
+        result = _engine(corpus, code_dir, changed_only=changed).lint()
+        assert result.stats.files_analyzed == 0
+        assert result.stats.files_skipped == 2
+
+    def test_files_under_a_symlinked_directory(self, write_corpus,
+                                               tmp_path):
+        corpus, code_dir, _target = self._corpus(write_corpus, tmp_path)
+        alias = tmp_path / "alias"
+        alias.symlink_to(corpus, target_is_directory=True)
+        changed = frozenset({str(corpus.resolve() / "good.md")})
+        result = _engine(alias, code_dir, changed_only=changed).lint()
+        assert result.stats.files_analyzed == 1       # good.md via alias
+        assert result.stats.files_skipped == 1        # linked.md
+
+
 class TestInternalErrorContainment:
     def test_per_file_crash_becomes_synthetic_diagnostic(
             self, write_corpus, tmp_path, monkeypatch, capsys):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.activities.catalog import corpus_dir
 from repro.errors import FrontMatterError
 from repro.sitegen import frontmatter as fm
+
+from tests.sitegen import _frontmatter_oracle as oracle
 
 FIG2 = '''---
 title: "FindSmallestCard"
@@ -155,3 +158,89 @@ _keys = st.text(
 def test_roundtrip_property(data):
     """parse(serialize(d)) == d for arbitrary front-matter mappings."""
     assert fm.parse(fm.serialize(data)) == data
+
+
+# -- differential test against the pre-fast-path parser ------------------------
+
+_FUZZ_ALPHABET = "\"'\\,[]#:-{\t\n ab1"
+_fuzz_text = st.text(alphabet=st.sampled_from(_FUZZ_ALPHABET), max_size=16)
+_fuzz_item = st.one_of(
+    _fuzz_text,
+    _fuzz_text.map(lambda t: f'"{t}"'),
+    _fuzz_text.map(lambda t: f"'{t}'"),
+)
+_fuzz_list = st.builds(
+    lambda items, sep, tail: "[" + sep.join(items) + tail,
+    st.lists(_fuzz_item, max_size=4),
+    st.sampled_from([", ", ",", " ,\t", ",,"]),
+    st.sampled_from(["]", ", ]", "] # c", "", "\t]"]),
+)
+_fuzz_value = st.one_of(_fuzz_item, _fuzz_list)
+_fuzz_line = st.one_of(
+    st.builds(lambda k, v: f"{k}: {v}", st.sampled_from(["k", "a b", ""]),
+              _fuzz_value),
+    _fuzz_value.map(lambda v: f"  - {v}"),
+    _fuzz_value.map(lambda v: f"{v} \\"),
+    _fuzz_text.map(lambda v: f"# {v}"),
+    _fuzz_text,
+)
+
+# Mostly well-formed lines, so drawn headers also parse and reach the
+# fast paths rather than stopping at the first error.
+_word = st.text(alphabet=st.sampled_from("ab1 ,:#[]-{'\t"), max_size=10)
+_plain = _word.map(lambda t: f'"{t}"')
+_escaped = st.lists(st.sampled_from(["a", " ", ",", "\\\\", '\\"']),
+                    max_size=5).map(lambda parts: '"' + "".join(parts) + '"')
+_good_list = st.builds(
+    lambda items, sep, tail: "[" + sep.join(items) + tail,
+    st.lists(st.one_of(_plain, _plain, _escaped, _fuzz_item), max_size=4),
+    st.sampled_from([", ", ",", " ,\t", "\t, "]),
+    st.sampled_from(["]", ", ]", "] # c", ",\t]"]),
+)
+_good_line = st.one_of(
+    st.builds(lambda k, v: f"{k}: {v}", st.sampled_from("cdefghjkluvwxyz"),
+              st.one_of(_plain, _escaped, _good_list, _good_list,
+                        _word.map(lambda t: t.strip("'\"[{ #")))),
+    st.builds(lambda k, a, b: f"{k}: [{a}, \\\n  {b}]",
+              st.sampled_from("mnpq"), _plain, _plain),
+    st.builds(lambda k, a, b: f"{k}: [{a}, {b}]",
+              st.sampled_from("mnpq"), _escaped, _plain),
+    st.builds(lambda k, items: f"{k}:" + "".join(f"\n  - {v}" for v in items),
+              st.sampled_from("rst"),
+              st.lists(st.one_of(_plain, _escaped), max_size=3)),
+    _word.map(lambda v: f"# {v}"),
+    st.just(""),
+)
+_fuzz_header = st.builds(
+    lambda lines, wrap: wrap[0] + "\n".join(lines) + wrap[1],
+    st.one_of(st.lists(_fuzz_line, max_size=5),
+              st.lists(_good_line, max_size=8),
+              st.lists(st.one_of(_good_line, _fuzz_line), max_size=6)),
+    st.sampled_from([("", ""), ("---\n", "\n---\nbody"), ("", ""),
+                     ("---\n", "")]),
+)
+
+
+def _outcome(parse, text, line_offset):
+    try:
+        return parse(text, line_offset)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzz_header, st.integers(min_value=0, max_value=3))
+def test_fast_paths_match_reference_parser(text, line_offset):
+    """Values, spans, and error type/message/line equal the frozen parser's."""
+    assert _outcome(fm.parse_with_spans, text, line_offset) == \
+        _outcome(oracle.parse_with_spans, text, line_offset)
+
+
+def test_corpus_headers_match_reference_parser():
+    files = sorted(corpus_dir().glob("*.md"))
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        block, _body, offset, _ = fm.split_document_with_lines(text)
+        assert fm.parse_with_spans(block, offset) == \
+            oracle.parse_with_spans(block, offset), path.name

@@ -183,6 +183,35 @@ class TestRenderPlan:
         sig_b = {t.rel_path: t.signature for t in b.render_plan()}
         assert all(sig_a[p] != sig_b[p] for p in sig_a)
 
+    def test_shared_page_signature_follows_theme_and_config(self):
+        """A Page reused by sites with other settings is re-signed per site."""
+        from dataclasses import replace
+
+        from repro.sitegen.site import DEFAULT_THEME
+        from repro.sitegen.taxonomy import DEFAULT_TAXONOMIES
+
+        theme = dict(DEFAULT_THEME)
+        theme["chips"] = theme["chips"].replace("activity-header", "chips-v2")
+        recolored = tuple(
+            replace(t, color="red") if t.name == "senses" else t
+            for t in DEFAULT_TAXONOMIES
+        )
+        shared = Page.from_text("findsmallestcard", DOC)
+        rel = "activities/findsmallestcard/index.html"
+
+        def signature(page, **site_args):
+            site = Site(**site_args)
+            site.add_page(page)
+            return {t.rel_path: t.signature for t in site.render_plan()}[rel]
+
+        settings = [{}, {"theme": theme},
+                    {"config": SiteConfig(taxonomies=recolored)}, {}]
+        reused = [signature(shared, **kw) for kw in settings]
+        fresh = [signature(Page.from_text("findsmallestcard", DOC), **kw)
+                 for kw in settings]
+        assert reused == fresh
+        assert len(set(reused[:3])) == 3
+
 
 class TestIncrementalBuild:
     def test_noop_rebuild_skips_everything(self, site, tmp_path):

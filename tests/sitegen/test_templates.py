@@ -24,6 +24,12 @@ class TestInterpolation:
     def test_dotted_path_through_dicts(self):
         assert render("{{ a.b.c }}", {"a": {"b": {"c": 42}}}) == "42"
 
+    def test_non_dict_mapping_context_resolves(self):
+        from types import MappingProxyType
+
+        ctx = MappingProxyType({"a": MappingProxyType({"b": "deep"}), "x": 1})
+        assert render("{{ a.b }}/{{ x }}/[{{ nope }}]", ctx) == "deep/1/[]"
+
     def test_dotted_path_through_attributes(self):
         class Obj:
             value = "attr"
