@@ -65,21 +65,27 @@ class Catalog:
 
     @classmethod
     def from_directory(cls, directory: str | Path,
-                       previous: "Catalog | None" = None) -> "Catalog":
+                       previous: "Catalog | None" = None,
+                       scan: dict[str, tuple[str, int, int]] | None = None,
+                       ) -> "Catalog":
         """Parse every ``*.md`` in ``directory``.
 
         With ``previous`` (an earlier generation of the same directory),
         a file whose fingerprint is unchanged reuses that generation's
         :class:`Activity` instead of being reparsed.  Each file is
         stat-ed *before* it is read, so a write racing the parse leaves
-        a stale fingerprint and is re-read on the next scan.
+        a stale fingerprint and is re-read on the next scan.  ``scan``
+        is a :func:`scan_content` of ``directory`` the caller has just
+        taken; it stands in for the catalog's own.
         """
         directory = Path(directory)
         if not directory.is_dir():
             raise ActivityError(f"no such content directory: {directory}")
         reusable = previous._sources if previous is not None else {}
+        if scan is None:
+            scan = scan_content(directory)
         catalog = cls()
-        for name, fingerprint in scan_content(directory).items():
+        for name, fingerprint in scan.items():
             known = reusable.get(name)
             if known is not None and known[0] == fingerprint:
                 activity = known[1]

@@ -462,7 +462,8 @@ class ServeApp:
         render (don't start work the budget cannot pay for) and after it
         returns — the finished body still lands in the cache first, so an
         over-budget render is not wasted, but the request that paid for
-        it reports 503 honestly.
+        it reports 503 honestly.  The miss fill is gated: a query-string
+        key is stored on its second miss (see :meth:`PageCache.put`).
         """
         if render is None:
             task = self.state.plan_by_url[path]
@@ -478,7 +479,7 @@ class ServeApp:
             if deadline is not None:
                 deadline.check("render-start")
             body = self._render_guarded(render)
-            entry = self.cache.put(key, body, content_type)
+            entry = self.cache.put(key, body, content_type, gated=True)
             if deadline is not None:
                 deadline.check("render")
             return Response(status=200, body=body, content_type=content_type,

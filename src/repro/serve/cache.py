@@ -1,11 +1,20 @@
-"""Content-addressed in-memory page cache with LRU eviction.
+"""Content-addressed in-memory page cache: LRU with second-miss admission
+for query-string keys.
 
 Every cached body is addressed by the strong ETag derived from its bytes
 (sha256), so conditional requests (``If-None-Match``) can be answered with
 ``304 Not Modified`` without touching the renderer, and two caches holding
-the same bytes always agree on the validator.  Eviction is plain LRU over
-a capacity in entries; invalidation is per-path (the incremental rebuilder
+the same bytes always agree on the validator.  Eviction is LRU over a
+capacity in entries; invalidation is per-path (the incremental rebuilder
 evicts exactly the URLs whose render-plan signature changed).
+
+Admission: a miss fill (``put(..., gated=True)``) of a key holding a
+``?`` (``/api/search?q=…``) is stored only on that key's second miss.
+The first is refused and remembered in a FIFO of at most ``capacity``
+keys.  Query keys are unbounded user input and most searches are never
+repeated, so storing each one would evict pages, whose keys are a
+finite, known set and are always admitted at once.  A refused response
+is served exactly as an admitted one; it is just not kept.
 
 Two cache shapes share one interface:
 
@@ -81,6 +90,8 @@ class PageCache:
         self._lock = threading.Lock()
         sanitize.register_lock(self, "_lock", "PageCache._lock")
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        # Query keys refused once by a gated put, oldest first.
+        self._refused: OrderedDict[str, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -123,11 +134,23 @@ class PageCache:
             return entry
 
     def put(self, path: str, body: bytes,
-            content_type: str = "text/html; charset=utf-8") -> CacheEntry:
-        """Insert (or refresh) ``path``, evicting the LRU entry if full."""
+            content_type: str = "text/html; charset=utf-8", *,
+            gated: bool = False) -> CacheEntry:
+        """Insert (or refresh) ``path``, evicting the LRU entry if full.
+
+        With ``gated`` (the fill after a miss), a key holding a ``?`` is
+        only remembered on its first fill and stored on its second.  The
+        returned entry carries the body's ETag either way.
+        """
         entry = CacheEntry(path=path, body=body, content_type=content_type,
                            etag=make_etag(body))
         with self._locked():
+            if gated and "?" in path and path not in self._refused:
+                self._refused[path] = None
+                if len(self._refused) > self.capacity:
+                    self._refused.popitem(last=False)
+                return entry
+            self._refused.pop(path, None)
             if path in self._entries:
                 self._entries.move_to_end(path)
             self._entries[path] = entry
@@ -219,8 +242,9 @@ class ShardedPageCache:
         return self._shard(path).get(path)
 
     def put(self, path: str, body: bytes,
-            content_type: str = "text/html; charset=utf-8") -> CacheEntry:
-        return self._shard(path).put(path, body, content_type)
+            content_type: str = "text/html; charset=utf-8", *,
+            gated: bool = False) -> CacheEntry:
+        return self._shard(path).put(path, body, content_type, gated=gated)
 
     def invalidate(self, paths: Iterable[str]) -> int:
         paths = list(paths)

@@ -141,7 +141,6 @@ class RebuildManager:
         self.min_interval_s = min_interval_s
         self.faults = faults
         self._clock = clock
-        self._fingerprint = scan_content(self.content_dir)
         self._last_check = clock()
         self._refresh_lock = threading.Lock()
         # Held across a full rebuild by design: exempt from the stall
@@ -152,6 +151,9 @@ class RebuildManager:
         # A search_loader (e.g. persisted postings) can skip the cold
         # from_catalog tokenization pass; returning None falls back to it.
         catalog = Catalog.from_directory(self.content_dir)
+        # The catalog's own stat-before-read scan is the fingerprint.
+        self._fingerprint = {name: fingerprint for name, (fingerprint, _)
+                             in catalog._sources.items()}
         search = search_loader(catalog) if search_loader is not None else None
         self.state = ServerState(catalog, config, search=search)
         self.last_error: str | None = None
@@ -202,7 +204,8 @@ class RebuildManager:
             if self.faults is not None:
                 self.faults.maybe_fail("rebuild")
             catalog = Catalog.from_directory(self.content_dir,
-                                             previous=self.state.catalog)
+                                             previous=self.state.catalog,
+                                             scan=fingerprint)
             search = self.state.search.patched_from_catalog(catalog, dirty_names)
             new_state = ServerState(catalog, self.config, search=search,
                                     previous=self.state)

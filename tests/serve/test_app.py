@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.serve import create_app
+from repro.serve.cache import shard_for
 from repro.serve.loadgen import call_app
 
 
@@ -172,3 +173,71 @@ class TestCacheDisabled:
         assert "X-Cache" not in again.headers
         assert first.etag == again.etag          # content-addressed either way
         assert call_app(app, "/", headers={"If-None-Match": first.etag}).status == 304
+
+
+class TestSearchAdmission:
+    """One-off searches must not evict pages: a query-string key enters
+    the cache only on its second miss, and a refused response is served
+    exactly as an admitted one."""
+
+    CACHE_SIZE = 64                      # 8 shards of 8 entries
+
+    @pytest.fixture()
+    def small_app(self):
+        return create_app(watch=False, cache_size=self.CACHE_SIZE)
+
+    def test_distinct_searches_leave_hot_pages_cached(self, small_app,
+                                                      monkeypatch):
+        app = small_app
+        shards = app.cache.shards
+        per_shard = app.cache.capacity // shards
+        hot, load = [], {}
+        for task in app.state.plan:        # at most half of every shard
+            shard = shard_for(task.url, shards)
+            if load.get(shard, 0) < per_shard // 2:
+                load[shard] = load.get(shard, 0) + 1
+                hot.append(task.url)
+        for url in hot + hot:
+            assert call_app(app, url).status == 200
+        renders = []
+        real = app._render_guarded
+        monkeypatch.setattr(app, "_render_guarded",
+                            lambda render: renders.append(1) or real(render))
+        for i in range(3 * self.CACHE_SIZE):
+            assert call_app(app, f"/api/search?q=cards+w{i}").status == 200
+        assert len(renders) == 3 * self.CACHE_SIZE
+        renders.clear()
+        for url in hot:
+            response = call_app(app, url)
+            assert response.headers["X-Cache"] == "hit", url
+        assert renders == []
+
+    def test_refused_and_admitted_search_answer_alike(self, small_app):
+        app = small_app
+        url = "/api/search?q=parallel+sorting"
+        refused = call_app(app, url)
+        admitted = call_app(app, url)
+        cached = call_app(app, url)
+        assert [r.headers["X-Cache"] for r in (refused, admitted, cached)] \
+            == ["miss", "miss", "hit"]
+        for response in (admitted, cached):
+            assert response.status == refused.status == 200
+            assert response.body == refused.body
+            assert response.etag == refused.etag
+            assert response.headers["Content-Type"] == \
+                refused.headers["Content-Type"]
+        revalidated = call_app(app, url,
+                               headers={"If-None-Match": refused.etag})
+        assert revalidated.status == 304
+        assert revalidated.etag == refused.etag
+
+    def test_revalidation_on_refused_and_admitting_misses(self, small_app):
+        app = small_app
+        url = "/api/search?q=deadlock"
+        first = call_app(app, url)
+        second = call_app(app, url, headers={"If-None-Match": first.etag})
+        third = call_app(app, url, headers={"If-None-Match": first.etag})
+        assert first.headers["X-Cache"] == "miss" and first.status == 200
+        assert second.headers["X-Cache"] == "miss" and second.status == 304
+        assert third.headers["X-Cache"] == "hit" and third.status == 304
+        assert first.etag == second.etag == third.etag

@@ -1,12 +1,15 @@
-"""Page cache tests: LRU, ETags, invalidation, stats, lock striping."""
+"""Page cache tests: LRU, ETags, invalidation, stats, lock striping,
+second-miss admission of query-string keys."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.serve.cache import PageCache, ShardedPageCache, make_etag, shard_for
+from repro.serve.persist import CacheStore
 
 
 class TestEtag:
@@ -180,3 +183,130 @@ class TestShardedPageCache:
         blocked.join(timeout=5)
         assert cache.lock_wait_s > 0.0
         assert cache.stats()["lock_wait_ms"] > 0.0
+
+
+# -- admission ---------------------------------------------------------------
+
+
+@pytest.fixture(params=["single", "sharded"])
+def gated_cache(request):
+    """A cache of each shape with 4 entries per shard."""
+    if request.param == "single":
+        return PageCache(capacity=4)
+    return ShardedPageCache(capacity=16, shards=4)
+
+
+def _shard_of(cache, key):
+    return cache._shard(key) if isinstance(cache, ShardedPageCache) else cache
+
+
+def _shard_mates(cache, key, n):
+    """``n`` query keys other than ``key`` that land in ``key``'s shard."""
+    shard = _shard_of(cache, key)
+    mates = (f"/api/search?q=other{i}" for i in range(10_000))
+    picked = [k for k in mates if k != key and _shard_of(cache, k) is shard]
+    return picked[:n]
+
+
+class TestAdmission:
+    """Query keys are stored on their second miss fill; other keys and
+    unconditional puts are stored at once."""
+
+    KEY = "/api/search?q=cards&limit=10"
+
+    def test_query_key_refused_once_then_stored(self, gated_cache):
+        cache = gated_cache
+        assert cache.get(self.KEY) is None
+        first = cache.put(self.KEY, b"hits", "application/json", gated=True)
+        assert self.KEY not in cache
+        assert first.etag == make_etag(b"hits")
+        assert cache.get(self.KEY) is None
+        second = cache.put(self.KEY, b"hits", "application/json", gated=True)
+        assert self.KEY in cache
+        assert second.etag == first.etag
+        assert cache.get(self.KEY) is second
+
+    @pytest.mark.parametrize("key", ["/activities/gardeners/", "/",
+                                     "/api/activities", "/api/gaps",
+                                     "/api/coverage/cs2013"])
+    def test_key_without_query_stored_at_once(self, gated_cache, key):
+        gated_cache.put(key, b"page", gated=True)
+        assert key in gated_cache
+
+    def test_refused_memory_holds_capacity_keys(self, gated_cache):
+        cache = gated_cache
+        capacity = _shard_of(cache, self.KEY).capacity
+        cache.put(self.KEY, b"x", gated=True)
+        for key in _shard_mates(cache, self.KEY, capacity - 1):
+            cache.put(key, b"y", gated=True)
+        cache.put(self.KEY, b"x", gated=True)       # still remembered
+        assert self.KEY in cache
+
+    def test_refused_memory_forgets_oldest_beyond_capacity(self, gated_cache):
+        cache = gated_cache
+        capacity = _shard_of(cache, self.KEY).capacity
+        cache.put(self.KEY, b"x", gated=True)
+        for key in _shard_mates(cache, self.KEY, capacity + 1):
+            cache.put(key, b"y", gated=True)
+        cache.put(self.KEY, b"x", gated=True)       # forgotten: refused again
+        assert self.KEY not in cache
+        assert len(_shard_of(cache, self.KEY)._refused) <= capacity
+        cache.put(self.KEY, b"x", gated=True)
+        assert self.KEY in cache
+
+    def test_put_is_unconditional(self, gated_cache):
+        gated_cache.put(self.KEY, b"hits")
+        assert self.KEY in gated_cache
+
+    def test_warm_load_is_unconditional(self, gated_cache, tmp_path):
+        source = PageCache(capacity=8)
+        source.put(self.KEY, b"hits", "application/json")
+        source.put("/a/", b"alpha")
+        store = CacheStore(tmp_path)
+        assert store.save(source, lambda path: "sig") == 2
+        assert store.warm_load(gated_cache, lambda path: "sig") == 2
+        assert gated_cache.get(self.KEY).body == b"hits"
+
+    def test_invalidate_drops_admitted_query_variants(self, gated_cache):
+        cache = gated_cache
+        for key in ("/api/search?q=a", "/api/search?q=b"):
+            cache.put(key, b"1", gated=True)
+            cache.put(key, b"1", gated=True)
+            assert key in cache
+        cache.put("/api/gaps", b"3", gated=True)
+        assert cache.invalidate(["/api/search"]) == 2
+        assert "/api/search?q=a" not in cache
+        assert "/api/gaps" in cache
+
+    def test_concurrent_gated_fills_lose_no_refusal(self):
+        """Threads (more than cores) refuse then admit disjoint query
+        keys under a tiny switch interval: a lost update to a shard's
+        refused-key memory would leave a key out after its second fill."""
+        cache = ShardedPageCache(capacity=2048, shards=8)
+        keys = [[f"/api/search?q=t{t}k{k}" for k in range(50)]
+                for t in range(6)]
+        errors = []
+
+        def worker(mine):
+            try:
+                for _ in range(2):
+                    for key in mine:
+                        cache.put(key, key.encode(), gated=True)
+            except Exception as exc:      # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(mine,))
+                       for mine in keys]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert all(key in cache for mine in keys for key in mine)
+        assert all(not shard._refused for shard in cache._shards)

@@ -49,6 +49,44 @@ class TestScanContent:
         assert changed == {"gardeners.md"}
 
 
+class TestOneScanPerGeneration:
+    """A generation stats each content file once: the catalog's own
+    stat-before-read scan doubles as the change fingerprint."""
+
+    @pytest.fixture()
+    def stats(self, monkeypatch):
+        from repro.activities import catalog as catalog_mod
+
+        calls = []
+        real = catalog_mod.file_fingerprint
+
+        def counted(path):
+            calls.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(catalog_mod, "file_fingerprint", counted)
+        return calls
+
+    def test_create_app_scans_once(self, content, stats):
+        files = sorted(p.name for p in content.glob("*.md"))
+        create_app(content_dir=content, watch=False)
+        assert sorted(stats) == files
+
+    def test_refresh_that_finds_a_change_scans_once(self, content, stats):
+        files = sorted(p.name for p in content.glob("*.md"))
+        manager = RebuildManager(content, min_interval_s=0.0)
+        assert sorted(stats) == files
+        stats.clear()
+        touch_append(content / "gardeners.md", "\nOne more note.\n")
+        result = manager.refresh()
+        assert result is not None and result.ok
+        assert result.changed_sources == ["gardeners.md"]
+        assert sorted(stats) == files
+        stats.clear()
+        assert manager.refresh() is None
+        assert sorted(stats) == files
+
+
 class TestRebuildManager:
     def test_no_change_is_noop(self, content):
         manager = RebuildManager(content, min_interval_s=0.0)
