@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.activities.parser import parse_activity, parse_activity_file
+from repro.activities.parser import parse_activity_file
 from repro.activities.schema import Activity, validate
 from repro.activities.writer import activity_document
 from repro.errors import ActivityError, ValidationError
@@ -93,13 +93,6 @@ class Catalog:
                 activity = parse_activity_file(directory / name)
             catalog.add(activity)
             catalog._sources[name] = (fingerprint, activity)
-        return catalog
-
-    @classmethod
-    def from_texts(cls, texts: dict[str, str]) -> "Catalog":
-        catalog = cls()
-        for name in sorted(texts):
-            catalog.add(parse_activity(name, texts[name]))
         return catalog
 
     # -- basic access ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Durable file-write helpers shared by every on-disk cache writer.
 
-All persistent state in this repo (page-cache index + blobs, search-index
-postings, the lint fingerprint table) follows one discipline: *atomic
+All persistent state in this repo (page-cache index + blobs, sweep result
+records, the lint fingerprint table) follows one discipline: *atomic
 rename with fsync*.  A writer never leaves a torn file where a reader
 could find it — the bytes go to a sibling temp file, are flushed and
 fsynced, and only then renamed over the destination (``os.replace`` is

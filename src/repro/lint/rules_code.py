@@ -46,8 +46,7 @@ from repro.lint import forksafety, lockgraph, resources
 from repro.lint.diagnostics import Diagnostic, Severity, make, rule
 from repro.lint.fixes import Fix
 
-__all__ = ["analyze_source", "analyze_source_full", "analyze_tree",
-           "run_code"]
+__all__ = ["analyze_source", "analyze_source_full", "analyze_tree"]
 
 rule("serve-unlocked-write", "code", Severity.WARNING,
      "instance attributes of lock-owning classes are written under a lock")
@@ -324,8 +323,3 @@ def analyze_tree(root: str | Path) -> list[Diagnostic]:
     out.extend(lockgraph.analyze_cross_class(summaries))
     out.extend(forksafety.analyze_corpus(fork_summaries))
     return out
-
-
-def run_code(root: str | Path) -> list[Diagnostic]:
-    """Alias matching the other passes' ``run_*`` naming."""
-    return analyze_tree(root)

@@ -7,9 +7,9 @@ form the paper's artifact (pdcunplugged.org) actually takes:
   request deadlines, stale marking, ``/healthz`` / ``/readyz``.
 * :mod:`repro.serve.cache` — content-addressed LRU page cache (single
   mutex or lock-striped shards) with strong ETags and 304 revalidation.
-* :mod:`repro.serve.persist` — on-disk cache + search-postings spill
-  keyed by render-plan / catalog signature, so restarts warm-start
-  instead of re-rendering; every load path tolerates corruption.
+* :mod:`repro.serve.persist` — on-disk page-cache spill keyed by
+  render-plan signature, so restarts warm-start instead of
+  re-rendering; every load path tolerates corruption.
 * :mod:`repro.serve.workers` — bounded worker pool + pooled WSGI server
   (the ``--workers N`` mode); a bounded queue sheds with a raw 503.
 * :mod:`repro.serve.prefork` — the ``--worker-model process`` mode: a

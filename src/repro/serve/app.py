@@ -19,7 +19,7 @@ JSON query API over the same engines the paper's evaluation uses:
 * ``GET /api/metrics`` — request counters, latency percentiles, cache
   hit ratio (with per-shard stats and lock wait), worker-pool gauges,
   rebuild counters, sweep counters,
-* ``GET /api/lint`` — the :mod:`repro.lint` static-analysis report for
+* ``GET /api/lint`` — the :mod:`repro.lint` content and site report for
   the served corpus, recomputed when the corpus generation changes.
 
 Pure stdlib (``wsgiref``), no new runtime dependencies.  Content changes
@@ -30,9 +30,8 @@ Concurrency: ``create_server(workers=N)`` services connections on a
 :class:`~repro.serve.workers.WorkerPool`, the default page cache is
 lock-striped (:class:`~repro.serve.cache.ShardedPageCache`), and passing
 ``cache_dir=`` enables persistent warm starts — rendered bodies spill to
-disk keyed by render-plan signature (and the search index under its
-catalog signature) and reload on boot, so a restarted server answers its
-first requests from cache instead of re-rendering.
+disk keyed by render-plan signature and reload on boot, so a restarted
+server answers its first requests from cache instead of re-rendering.
 
 Failure model (the degradation ladder, least to most degraded):
 
@@ -79,7 +78,6 @@ from repro.serve.resilience import (OPEN, CircuitBreaker, Deadline,
 from repro.serve.retrypolicy import RetryError, RetryPolicy
 from repro.serve.tenancy import TenancyConfig, TenantGate
 from repro.serve.workers import PooledWSGIServer, WorkerPool
-from repro.sitegen.search import catalog_signature
 
 # NOTE: repro.sweep imports repro.serve primitives (faults, resilience,
 # retry), so the sweep plane is imported lazily inside the handlers and
@@ -215,12 +213,8 @@ class ServeApp:
         return self.warm_loaded
 
     def save_cache(self) -> int:
-        """Spill the live cache and search index (no-op without a store)."""
-        if self.store is None:
-            return 0
-        self.store.save_search(self.state.search,
-                               catalog_signature(self.state.catalog))
-        if self.cache is None:
+        """Spill the live page cache (no-op without a store or cache)."""
+        if self.store is None or self.cache is None:
             return 0
         return self.store.save(self.cache, self.cache_signature)
 
@@ -828,6 +822,11 @@ class ServeApp:
                   ) -> Response:
         """Static-analysis report for the served corpus.
 
+        Content and site rules only: the code rules lint the server's own
+        source, which is no concern of a content author and which the
+        corpus signature below could never see change.  They stay with
+        the ``lint`` CLI, and ``?rules=`` naming one is a 400.
+
         The report is recomputed only when the corpus generation changes
         (the same ``corpus_signature`` the cacheable API responses key
         on), so after a :class:`RebuildManager` swap the next request
@@ -864,7 +863,7 @@ class ServeApp:
                 if self._lint_engine is None:
                     self._lint_engine = LintEngine(LintConfig(
                         content_dir=self.rebuilder.content_dir,
-                        cache_dir=cache_dir))
+                        code=False, cache_dir=cache_dir))
                 engine = self._lint_engine
         result = engine.lint()
         payload = {
@@ -899,6 +898,11 @@ class ServeApp:
         if unknown:
             return Response.error(
                 400, f"unknown lint rule(s): {', '.join(unknown)}",
+                route=route)
+        code = sorted(r for r in set(rules) if RULES[r].pass_name == "code")
+        if code:
+            return Response.error(
+                400, f"code rules are not served: {', '.join(code)}",
                 route=route)
         keep = set(rules)
         diagnostics = [d for d in payload["diagnostics"]
@@ -952,9 +956,9 @@ def create_app(
     The page cache is lock-striped over ``cache_shards`` shards
     (``cache_shards=1`` degenerates to the single-mutex cache).  With
     ``cache_dir`` set, previously spilled responses whose render-plan
-    signatures still match are warm-loaded immediately — and the search
-    index is restored from persisted postings, skipping the cold
-    tokenization pass — so the first requests after a restart are hits.
+    signatures still match are warm-loaded immediately, so the first
+    requests after a restart are hits.  The search index is always built
+    from the catalog.
 
     ``rebuild_mode="inline"`` (the default, and what tests rely on for
     synchronous edit visibility) refreshes on the request path;
@@ -970,12 +974,8 @@ def create_app(
     if faults is None and fault_spec:
         faults = parse_fault_spec(fault_spec, seed=fault_seed)
     store = CacheStore(cache_dir, faults=faults) if cache_dir else None
-    search_loader = None
-    if store is not None:
-        def search_loader(catalog):
-            return store.load_search(catalog_signature(catalog))
     rebuilder = RebuildManager(content_dir, min_interval_s=watch_interval_s,
-                               faults=faults, search_loader=search_loader)
+                               faults=faults)
     cache = None
     if cache_enabled:
         if cache_shards > 1:

@@ -55,8 +55,8 @@ def make_etag(body: bytes) -> str:
 def checksum(data: bytes) -> str:
     """Unquoted content hash (same digest family as :func:`make_etag`).
 
-    Used by the persistence layer to verify payloads that are not HTTP
-    bodies (e.g. serialized search postings) on the way back from disk.
+    Used to verify payloads that are not HTTP bodies on the way back from
+    disk (the sweep plane's result records, :mod:`repro.sweep.store`).
     """
     return hashlib.sha256(data).hexdigest()[:24]
 

@@ -11,7 +11,7 @@ plan answers deterministically from its own RNG, so a chaos test or a
 Operations (the instrumented sites)::
 
     rebuild        building the next server generation (RebuildManager)
-    cache-read     reading a persisted blob / postings file (CacheStore)
+    cache-read     reading persisted cache state (CacheStore, ResultStore)
     persist-write  spilling cache state to disk (CacheStore)
     render         rendering a response body (ServeApp)
     sweep-run      dispatching one sweep point to a worker (SweepManager)

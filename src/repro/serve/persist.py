@@ -1,4 +1,4 @@
-"""On-disk spill/restore for the page cache and search index (warm starts).
+"""On-disk spill/restore for the page cache (warm starts).
 
 A fresh server process used to cold-start at hit-ratio 0 and pay one
 render per page before the cache did anything.  :class:`CacheStore` fixes
@@ -9,16 +9,14 @@ current plan.  Invalidation therefore reuses the exact mechanism the
 incremental rebuilder already trusts — if any input of a page changed, its
 signature changed, and the stale spill is silently dropped.
 
-The search index rides along: its per-document term counts are persisted
-under the :func:`~repro.sitegen.search.catalog_signature` of the catalog
-they were tokenized from, so a warm start skips the cold
-``SearchIndex.from_catalog`` pass entirely when the content has not
-changed.
+The page cache is the only thing this module persists.  The search index
+is rebuilt from the catalog on every start: the cold build costs about
+what loading a persisted copy did, so a second copy on disk would buy
+nothing.
 
 Layout under ``cache_dir``::
 
     cache-index.json          path -> {etag, content_type, signature, blob}
-    search-postings.json      checksummed, signature-stamped search index
     blobs/<sha>.body          content-addressed bodies (deduplicated)
 
 Failure model — this module is *tolerant by construction*:
@@ -30,9 +28,8 @@ Failure model — this module is *tolerant by construction*:
   entry is *skipped* (logged, counted) — persistence is an optimization,
   never worth failing a save over;
 * every load path treats garbage the same way: a truncated or corrupt
-  index, a missing or tampered blob (ETag recomputed from bytes), or a
-  postings file whose checksum/signature/version disagrees all mean
-  "start cold", logged at WARNING, never raised.
+  index, or a missing or tampered blob (ETag recomputed from bytes),
+  means "start cold" for what it covers, logged at WARNING, never raised.
 
 A :class:`~repro.serve.faults.FaultPlan` can be attached to exercise all
 of the above deterministically (ops ``persist-write`` / ``cache-read``).
@@ -46,10 +43,10 @@ from pathlib import Path
 from typing import Callable
 
 from repro.ioutil import atomic_write_bytes
-from repro.serve.cache import checksum, make_etag
+from repro.serve.cache import make_etag
 from repro.serve.retrypolicy import RetryError, RetryPolicy
 
-__all__ = ["CacheStore", "SEARCH_FILENAME"]
+__all__ = ["CacheStore"]
 
 log = logging.getLogger("repro.serve.persist")
 
@@ -61,9 +58,6 @@ SignatureFn = Callable[[str], "str | None"]
 _INDEX_NAME = "cache-index.json"
 _BLOB_DIR = "blobs"
 
-SEARCH_FILENAME = "search-postings.json"
-_SEARCH_VERSION = 1
-
 
 class CacheStore:
     """Persist page-cache entries keyed by render-plan signature."""
@@ -74,7 +68,6 @@ class CacheStore:
         self.blob_dir = self.root / _BLOB_DIR
         self.blob_dir.mkdir(parents=True, exist_ok=True)
         self.index_path = self.root / _INDEX_NAME
-        self.search_path = self.root / SEARCH_FILENAME
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy(retries=1)
         self.skipped_saves = 0
@@ -211,64 +204,6 @@ class CacheStore:
                 self.load_errors += 1
                 continue
         return warmed
-
-    # -- search-index postings ---------------------------------------------
-
-    def save_search(self, index, signature: str) -> bool:
-        """Persist ``index`` (a :class:`~repro.sitegen.search.SearchIndex`)
-        stamped with the catalog ``signature`` it was built from."""
-        body = json.dumps(index.to_payload(), sort_keys=True,
-                          separators=(",", ":"))
-        wrapper = {
-            "version": _SEARCH_VERSION,
-            "signature": signature,
-            "checksum": checksum(body.encode("utf-8")),
-            "index": body,
-        }
-        try:
-            self._persist_bytes(self.search_path,
-                                json.dumps(wrapper).encode("utf-8"))
-        except (OSError, RetryError) as exc:
-            self.skipped_saves += 1
-            log.warning("search postings not written: %s", exc)
-            return False
-        return True
-
-    def load_search(self, expected_signature: str):
-        """The persisted search index, or ``None`` (build cold).
-
-        ``None`` on: no file, version or signature mismatch (content
-        changed), checksum mismatch (corruption), or any parse error —
-        a broken postings file must never take warm start down.
-        """
-        from repro.errors import SiteError
-        from repro.sitegen.search import SearchIndex
-
-        try:
-            wrapper = json.loads(self._read_bytes(self.search_path))
-        except FileNotFoundError:
-            return None
-        except (OSError, RetryError, ValueError) as exc:
-            self.load_errors += 1
-            log.warning("search postings unreadable, building cold: %s", exc)
-            return None
-        try:
-            if wrapper["version"] != _SEARCH_VERSION:
-                log.warning("search postings version %r unsupported, "
-                            "building cold", wrapper.get("version"))
-                return None
-            if wrapper["signature"] != expected_signature:
-                return None               # content changed: postings stale
-            body = wrapper["index"]
-            if checksum(body.encode("utf-8")) != wrapper["checksum"]:
-                self.load_errors += 1
-                log.warning("search postings checksum mismatch, building cold")
-                return None
-            return SearchIndex.from_payload(json.loads(body))
-        except (KeyError, TypeError, ValueError, AttributeError, SiteError) as exc:
-            self.load_errors += 1
-            log.warning("search postings corrupt, building cold: %s", exc)
-            return None
 
     def _blob_name(self, etag: str) -> str:
         return etag.strip('"') + ".body"

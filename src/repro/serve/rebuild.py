@@ -78,9 +78,8 @@ class ServerState:
 
     @classmethod
     def from_content_dir(cls, content_dir: str | Path,
-                         config: SiteConfig | None = None,
-                         search: SearchIndex | None = None) -> "ServerState":
-        return cls(Catalog.from_directory(content_dir), config, search=search)
+                         config: SiteConfig | None = None) -> "ServerState":
+        return cls(Catalog.from_directory(content_dir), config)
 
     @property
     def signatures(self) -> dict[str, str]:
@@ -134,7 +133,6 @@ class RebuildManager:
         min_interval_s: float = 1.0,
         clock=time.monotonic,
         faults=None,
-        search_loader: Callable[[Catalog], SearchIndex | None] | None = None,
     ):
         self.content_dir = Path(content_dir) if content_dir else corpus_dir()
         self.config = config
@@ -148,14 +146,11 @@ class RebuildManager:
         sanitize.register_lock(self, "_refresh_lock",
                                "RebuildManager._refresh_lock",
                                stall_budget_ms=None)
-        # A search_loader (e.g. persisted postings) can skip the cold
-        # from_catalog tokenization pass; returning None falls back to it.
         catalog = Catalog.from_directory(self.content_dir)
         # The catalog's own stat-before-read scan is the fingerprint.
         self._fingerprint = {name: fingerprint for name, (fingerprint, _)
                              in catalog._sources.items()}
-        search = search_loader(catalog) if search_loader is not None else None
-        self.state = ServerState(catalog, config, search=search)
+        self.state = ServerState(catalog, config)
         self.last_error: str | None = None
 
     def maybe_refresh(self) -> RebuildResult | None:

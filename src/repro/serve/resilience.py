@@ -29,7 +29,7 @@ import random
 import threading
 import time
 
-__all__ = ["BreakerOpen", "CircuitBreaker", "Deadline", "DeadlineExceeded",
+__all__ = ["CircuitBreaker", "Deadline", "DeadlineExceeded",
            "LoadShedder", "bounded_retry_after",
            "CLOSED", "OPEN", "HALF_OPEN"]
 
@@ -51,10 +51,6 @@ def bounded_retry_after(seconds: float, max_s: float = MAX_RETRY_AFTER_S) -> int
     never an hour-long lockout from a transient pressure spike.
     """
     return int(min(max(1, round(seconds)), max_s))
-
-
-class BreakerOpen(RuntimeError):
-    """An operation was refused because its circuit breaker is open."""
 
 
 class CircuitBreaker:

@@ -9,6 +9,10 @@ Pure Python, deterministic, no dependencies; built once per catalog and
 queried many times.  Tokenization lowercases, strips punctuation, and
 drops a small stop list; title and tag hits are boosted.
 
+The index lives only in memory: :meth:`SearchIndex.from_catalog` builds
+it on every server start.  Counted tokens are interned, so a token shared
+by many documents is one string object, not one per document.
+
 The index is *patchable*: documents can be removed and re-added, and
 :meth:`SearchIndex.patched_from_catalog` produces a new index from an old
 one by re-tokenizing only a dirty subset — the serving layer's rebuild
@@ -16,27 +20,20 @@ path uses it so a one-file content edit patches one document's postings
 instead of re-indexing the whole corpus.  The old index is never mutated
 (copy-on-patch), so in-flight queries against the previous generation
 stay consistent.
-
-The index is also *persistable*: :meth:`SearchIndex.to_payload` /
-:meth:`SearchIndex.from_payload` round-trip the per-document term counts
-through plain JSON-able dicts (postings are derived data and rebuilt on
-load), and :func:`catalog_signature` fingerprints exactly the inputs the
-index is built from — the serving layer stores the payload under that
-signature so a warm start can skip the cold tokenization pass, and any
-content change invalidates the stored copy.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from repro.errors import SiteError
 
-__all__ = ["SearchHit", "SearchIndex", "catalog_signature", "tokenize"]
+__all__ = ["SearchHit", "SearchIndex", "tokenize"]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -56,6 +53,12 @@ def tokenize(text: str) -> list[str]:
         t for t in _TOKEN_RE.findall(text.lower())
         if t not in STOP_WORDS
     ]
+
+
+def _count(text: str) -> Counter:
+    """``Counter(tokenize(text))`` with every token interned."""
+    return Counter(map(sys.intern, filterfalse(
+        STOP_WORDS.__contains__, _TOKEN_RE.findall(text.lower()))))
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,12 @@ class SearchIndex:
                      tags: list[str] | None = None) -> None:
         if name in self._docs:
             raise SiteError(f"duplicate document {name!r}")
+        # "_" is no token character, so a tag like "PD_Sorting" already
+        # counts as "pd" + "sorting".
         fields = {
-            "title": Counter(tokenize(title)),
-            "tags": Counter(
-                t for tag in (tags or []) for t in tokenize(tag.replace("_", " "))
-            ),
-            "body": Counter(tokenize(body)),
+            "title": _count(title),
+            "tags": _count(" ".join(tags or [])),
+            "body": _count(body),
         }
         entry = _DocEntry(
             name=name,
@@ -171,58 +174,6 @@ class SearchIndex:
                 index.index_activity(catalog.get(name))
         return index
 
-    # -- persistence ------------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """JSON-able form of the index: per-document term counts only.
-
-        Postings are derived data — :meth:`from_payload` rebuilds them —
-        so the payload stays small and there is nothing in it that can
-        disagree with itself.
-        """
-        return {
-            "docs": [
-                {
-                    "name": entry.name,
-                    "title": entry.title,
-                    "length": entry.length,
-                    "fields": {
-                        fname: dict(counter)
-                        for fname, counter in entry.field_counts.items()
-                    },
-                }
-                for entry in (self._docs[n] for n in sorted(self._docs))
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SearchIndex":
-        """Rebuild an index from :meth:`to_payload` output.
-
-        Raises ``KeyError``/``TypeError``/:class:`~repro.errors.SiteError`
-        on malformed payloads; callers loading from disk treat any of
-        those as "start cold" rather than trusting partial data.
-        """
-        index = cls()
-        for doc in payload["docs"]:
-            name = doc["name"]
-            if name in index._docs:
-                raise SiteError(f"duplicate document {name!r}")
-            fields = {
-                fname: Counter({str(t): int(n) for t, n in counts.items()})
-                for fname, counts in doc["fields"].items()
-            }
-            index._docs[name] = _DocEntry(
-                name=name,
-                title=doc["title"],
-                field_counts=fields,
-                length=int(doc["length"]),
-            )
-            for counter in fields.values():
-                for token in counter:
-                    index._postings.setdefault(token, set()).add(name)
-        return index
-
     # -- queries --------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -275,21 +226,3 @@ class SearchIndex:
             return []
         return sorted(t for t in self._postings if t.startswith(prefix))[:limit]
 
-
-def catalog_signature(catalog) -> str:
-    """Fingerprint exactly the inputs :meth:`SearchIndex.from_catalog` reads.
-
-    A persisted index is only valid for the catalog it was built from;
-    this hashes the same (name, title, tags, section bodies) tuple that
-    :meth:`SearchIndex.index_activity` tokenizes, so the signature changes
-    iff the index contents would.
-    """
-    digest = hashlib.sha256()
-    for activity in catalog:
-        tags = (activity.cs2013 + activity.tcpp + activity.courses
-                + activity.senses + activity.medium)
-        body = "\n".join(activity.sections.values())
-        for piece in (activity.name, activity.title, "\x1f".join(tags), body):
-            digest.update(piece.encode("utf-8"))
-            digest.update(b"\x1e")
-    return digest.hexdigest()[:20]

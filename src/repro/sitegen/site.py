@@ -296,15 +296,6 @@ class Site:
             {"title": title, "site_title": self.config.title, "content": content},
         )
 
-    def render_header_chips(self, page: Page) -> str:
-        """Render the colored taxonomy chips of paper Fig. 3 for a page.
-
-        Only visible taxonomies produce chips; hidden ones (``medium``,
-        ``cs2013details``, ``tcppdetails``) never appear in the header
-        (§II-B.e).
-        """
-        return self.env.render("chips", {"chips": self._chip_context(page)})
-
     def render_page(self, page: Page) -> str:
         content = self.env.render(
             "single",

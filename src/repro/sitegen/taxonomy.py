@@ -140,9 +140,6 @@ class Taxonomy:
         """Terms ordered by descending page count, then name (Hugo's ByCount)."""
         return sorted(self.terms.values(), key=lambda t: (-t.count, t.name))
 
-    def term_names(self) -> list[str]:
-        return sorted(self.terms)
-
     def histogram(self) -> Counter:
         return Counter({name: term.count for name, term in self.terms.items()})
 

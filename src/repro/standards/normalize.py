@@ -16,7 +16,7 @@ insensitive to spelling variants.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.standards import courses as courses_mod
 from repro.standards import cs2013, tcpp
@@ -120,17 +120,3 @@ def canonicalize_counts(taxonomy: str, counts: Mapping[str, int]) -> Counter:
         folded[canonical_term(taxonomy, term) or normalize_whitespace(term)] += count
     return folded
 
-
-def canonical_terms(taxonomy: str, terms: Iterable[str]) -> list[str]:
-    """Canonicalize a term list, dropping duplicates, keeping order.
-
-    Unrecognized terms pass through whitespace-normalized.
-    """
-    seen: set[str] = set()
-    out: list[str] = []
-    for term in terms:
-        resolved = canonical_term(taxonomy, term) or normalize_whitespace(term)
-        if resolved not in seen:
-            seen.add(resolved)
-            out.append(resolved)
-    return out

@@ -65,9 +65,6 @@ class Schedule:
             key=lambda e: e.start,
         )
 
-    def busy_time(self, worker: int) -> float:
-        return sum(e.finish - e.start for e in self.timeline(worker))
-
     @property
     def total_idle(self) -> float:
         return self.workers * self.makespan - sum(

@@ -40,7 +40,7 @@ def test_api_lint_clean_corpus(content_dir):
     assert payload["counts"] == {"error": 0, "info": 0, "warning": 0}
     assert payload["fixable"] == 0
     assert payload["fixes"] == []
-    assert payload["stats"]["files_total"] > 38      # corpus + serve code
+    assert payload["stats"]["files_total"] == 38     # corpus only, no code
     assert payload["signature"]
 
 
@@ -214,7 +214,7 @@ class TestRulesParam:
     def test_clean_when_selected_rules_have_no_findings(self, content_dir):
         app = self._dirty_app(content_dir)
         status, payload = _get_query(
-            app, "/api/lint", "rules=serve-lock-order")
+            app, "/api/lint", "rules=duplicate-slug")
         assert status == 200
         assert payload["clean"] is True
         assert payload["diagnostics"] == []
@@ -224,6 +224,14 @@ class TestRulesParam:
         status, payload = _get_query(app, "/api/lint", "rules=no-such-rule")
         assert status == 400
         assert "no-such-rule" in payload["error"]
+
+    def test_code_rule_is_400(self, content_dir):
+        app = create_app(content_dir=content_dir, watch=False)
+        status, payload = _get_query(
+            app, "/api/lint", "rules=taxonomy-unknown-term,serve-lock-order")
+        assert status == 400
+        assert payload["error"] == \
+            "code rules are not served: serve-lock-order"
 
     def test_filtering_does_not_fork_the_snapshot(self, content_dir):
         app = self._dirty_app(content_dir)

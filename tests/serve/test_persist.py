@@ -1,6 +1,6 @@
 """CacheStore tests: spill/warm-load round trips, signature invalidation,
-corruption handling, blob garbage collection, and search-postings
-persistence (warm starts skip the cold tokenization pass)."""
+corruption handling, blob garbage collection, and the search index staying
+out of the cache directory."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ import pytest
 
 from repro.serve import create_app, run_load
 from repro.serve.cache import PageCache, ShardedPageCache, make_etag
-from repro.serve.faults import FaultPlan, FaultRule
-from repro.serve.loadgen import LoadGenerator
+from repro.serve.loadgen import LoadGenerator, call_app
 from repro.serve.persist import CacheStore
-from repro.sitegen.search import SearchIndex, catalog_signature
 
 
 def constant_signature(path):
@@ -105,90 +103,51 @@ class TestResilience:
         assert blobs[0].read_bytes() == b"version two"
 
 
-class TestSearchPostings:
-    def build_index(self):
-        from repro.activities.catalog import Catalog, corpus_dir
+class TestSearchNotPersisted:
+    """Only the page cache is persisted; the search index is always built."""
 
-        catalog = Catalog.from_directory(corpus_dir())
-        return SearchIndex.from_catalog(catalog), catalog_signature(catalog)
+    QUERIES = ("cards", "parallel sorting", "deadlock", "sorting network")
 
-    def test_round_trip_preserves_results(self, tmp_path):
-        index, signature = self.build_index()
-        store = CacheStore(tmp_path)
-        assert store.save_search(index, signature)
+    def _searches(self, app):
+        return {q: [(h.name, h.score, h.matched_terms)
+                    for h in app.state.search.search(q, limit=50)]
+                for q in self.QUERIES}
 
-        loaded = store.load_search(signature)
-        assert loaded is not None
-        for query in ("sorting network", "deadlock", "message passing"):
-            cold = [(h.name, round(h.score, 6)) for h in index.search(query)]
-            warm = [(h.name, round(h.score, 6)) for h in loaded.search(query)]
-            assert warm == cold
+    def test_save_cache_writes_no_search_file(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        app = create_app(watch=False, cache_dir=cache_dir)
+        for _ in range(2):                       # second miss is admitted
+            assert call_app(app, "/api/search?q=cards").status == 200
+        assert app.save_cache() > 0
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "blobs", "cache-index.json", "sweeps"]
 
-    def test_signature_mismatch_builds_cold(self, tmp_path):
-        index, signature = self.build_index()
-        store = CacheStore(tmp_path)
-        store.save_search(index, signature)
-        assert store.load_search("different-signature") is None
-
-    def test_missing_file_builds_cold(self, tmp_path):
-        store = CacheStore(tmp_path)
-        assert store.load_search("any") is None
-        assert store.load_errors == 0       # absence is not an error
-
-    @pytest.mark.parametrize("garbage", [
-        "{not json",                        # unparseable
-        '{"version": 999}',                 # unknown version
-        '{"version": 1, "signature": "sig", "checksum": "x", "index": "{}"}',
-        json.dumps({"version": 1, "signature": "sig"}),   # fields missing
-        json.dumps(["not", "a", "dict"]),
-    ])
-    def test_garbage_postings_build_cold(self, tmp_path, garbage):
-        store = CacheStore(tmp_path)
-        store.search_path.write_text(garbage, encoding="utf-8")
-        assert store.load_search("sig") is None
-
-    def test_flipped_byte_fails_the_checksum(self, tmp_path):
-        index, signature = self.build_index()
-        store = CacheStore(tmp_path)
-        store.save_search(index, signature)
-        wrapper = json.loads(store.search_path.read_text(encoding="utf-8"))
-        body = wrapper["index"]
-        wrapper["index"] = body.replace(body[:20], body[:20].upper(), 1)
-        store.search_path.write_text(json.dumps(wrapper), encoding="utf-8")
-        assert store.load_search(signature) is None
-        assert store.load_errors == 1
-
-    def test_torn_write_is_invisible_to_readers(self, tmp_path):
-        index, signature = self.build_index()
-        faults = FaultPlan([FaultRule("persist-write", "partial", 1.0)])
-        broken = CacheStore(tmp_path, faults=faults,
-                            retry=None)
-        broken.save_search(index, signature)   # every write torn in half
-        clean = CacheStore(tmp_path)
-        assert clean.load_search(signature) is None   # cold, never a crash
-
-    def test_warm_start_skips_cold_tokenization(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("leftover", [
+        json.dumps({"version": 1, "signature": "x", "checksum": "y",
+                    "index": json.dumps({"docs": [{
+                        "name": "gardeners", "title": "Gardeners",
+                        "length": 1, "fields": {"title": {"cards": 1}}}]})}),
+        "{torn",
+    ], ids=["old-format", "garbage"])
+    def test_leftover_search_file_is_ignored(self, tmp_path, leftover):
         cache_dir = tmp_path / "cache"
         first = create_app(watch=False, cache_dir=cache_dir)
-        first.save_cache()
-        expected = [h.name for h in first.state.search.search("sorting")]
+        stream = LoadGenerator.for_app(first, seed=21).sample(120)
+        run_load(first, stream, revalidate=False)
+        assert first.save_cache() > 0
+        stale = cache_dir / "search-postings.json"
+        stale.write_text(leftover, encoding="utf-8")
 
-        def boom(cls, catalog):
-            raise AssertionError("warm start re-tokenized the corpus")
-
-        monkeypatch.setattr(SearchIndex, "from_catalog", classmethod(boom))
         warm = create_app(watch=False, cache_dir=cache_dir)
-        assert [h.name for h in warm.state.search.search("sorting")] == expected
-
-    def test_corrupt_postings_fall_back_to_cold_build(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        first = create_app(watch=False, cache_dir=cache_dir)
-        first.save_cache()
-        store = CacheStore(cache_dir)
-        store.search_path.write_text("{torn", encoding="utf-8")
-
-        cold = create_app(watch=False, cache_dir=cache_dir)
-        assert cold.state.search.search("sorting")    # rebuilt, still works
+        assert warm.warm_loaded > 0
+        assert warm.store.load_errors == 0
+        cold = create_app(watch=False)
+        assert self._searches(warm) == self._searches(cold)
+        for q in self.QUERIES:
+            path = "/api/search?q=" + q.replace(" ", "+")
+            assert call_app(warm, path).body == call_app(cold, path).body
+        warm.save_cache()
+        assert stale.read_text(encoding="utf-8") == leftover
 
 
 class TestServeIntegration:

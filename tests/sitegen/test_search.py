@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from urllib.parse import parse_qs
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SiteError
-from repro.sitegen.search import SearchIndex, tokenize
+from repro.serve.loadgen import DEFAULT_API_PATHS
+from repro.sitegen.search import STOP_WORDS, SearchIndex, tokenize
+from tests.sitegen import _search_oracle as oracle
 
 
 class TestTokenize:
@@ -208,3 +215,99 @@ class TestPatchedFromCatalog:
         index.patched_from_catalog(Catalog.from_directory(content),
                                    {"gardeners"})
         assert self._results(index) == before
+
+
+# -- the single build path against the frozen tokenize-based counting ------
+
+_words = st.one_of(
+    st.sampled_from(sorted(STOP_WORDS)),
+    st.sampled_from(["Sorting", "PARALLEL", "deadlock", "K_12", "CS2013",
+                     "PD_Parallelism", "naïve", "Straße", "İstanbul",
+                     "\u212a", "ΣΑΣ", "x86_64", "2020"]),
+    st.text(alphabet="abcXYZ019_-éİß\u212a", max_size=8),
+)
+_text = st.lists(_words, max_size=12).flatmap(
+    lambda words: st.lists(st.sampled_from([" ", "\n", "_", "-", ", ", ""]),
+                           min_size=len(words), max_size=len(words)).map(
+        lambda seps: "".join(w + s for w, s in zip(words, seps))))
+_doc = st.tuples(_text, _text, st.lists(_text, max_size=5))
+
+
+def _snapshot(index):
+    docs = {name: ({f: dict(c) for f, c in entry.field_counts.items()},
+                   entry.length)
+            for name, entry in index._docs.items()}
+    return docs, index._postings
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_doc, min_size=1, max_size=3))
+def test_field_counts_match_oracle(docs):
+    live, frozen = SearchIndex(), oracle.OracleIndex()
+    for i, (title, body, tags) in enumerate(docs):
+        live.add_document(f"d{i}", title, body, tags)
+        frozen.add_document(f"d{i}", title, body, tags)
+    assert _snapshot(live) == _snapshot(frozen)
+
+
+_QUERIES = [parse_qs(path.partition("?")[2])["q"][0]
+            for path in DEFAULT_API_PATHS if path.startswith("/api/search?")]
+
+
+def _answers(index):
+    prefixes = sorted({t[:n] for q in _QUERIES for t in tokenize(q)
+                       for n in (1, 2, 3)})
+    return (
+        {q: [(h.name, h.score, h.matched_terms)
+             for h in index.search(q, limit=len(index))] for q in _QUERIES},
+        {p: index.suggest(p, limit=50) for p in prefixes},
+    )
+
+
+@pytest.fixture(scope="module")
+def scaled_catalog(tmp_path_factory):
+    """The 456-file corpus the ``fleet`` benchmark workload serves."""
+    from perfbench.inputs import scaled_corpus
+    from repro.activities.catalog import Catalog
+
+    content = tmp_path_factory.mktemp("search") / "content"
+    scaled_corpus(Path(__file__).resolve().parents[2], content, 12, 1)
+    return Catalog.from_directory(content)
+
+
+class TestAllCorpusMatchesOracle:
+    def test_queries_cover_the_loadgen_searches(self):
+        assert _QUERIES == ["cards", "parallel sorting", "deadlock"]
+
+    def test_packaged_corpus(self):
+        from repro.activities import load_default_catalog
+
+        catalog = load_default_catalog()
+        live = SearchIndex.from_catalog(catalog)
+        assert _answers(live) == _answers(oracle.OracleIndex.from_catalog(catalog))
+        assert _snapshot(live) == _snapshot(
+            oracle.OracleIndex.from_catalog(catalog))
+
+    def test_scaled_corpus(self, scaled_catalog):
+        assert len(scaled_catalog) == 456
+        live = SearchIndex.from_catalog(scaled_catalog)
+        frozen = oracle.OracleIndex.from_catalog(scaled_catalog)
+        assert _answers(live) == _answers(frozen)
+        assert _snapshot(live) == _snapshot(frozen)
+
+
+class TestTokensShared:
+    def test_same_token_is_one_object_across_documents(self):
+        index = SearchIndex()
+        index.add_document("a", "Sorting cards", "parallel sorting")
+        index.add_document("b", "Odd-even sort", "sorting networks",
+                           tags=["PD_Sorting"])
+
+        def keys(name, field):
+            return {t: t for t in index._docs[name].field_counts[field]}
+
+        token = keys("a", "body")["sorting"]
+        assert keys("a", "title")["sorting"] is token
+        assert keys("b", "body")["sorting"] is token
+        assert keys("b", "tags")["sorting"] is token
+        assert next(iter(t for t in index._postings if t == "sorting")) is token
