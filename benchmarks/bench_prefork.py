@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -82,21 +81,6 @@ def _check(report) -> None:
     assert report.transport_errors == 0
     assert report.unhandled_errors == 0
     assert set(report.statuses) <= {200}
-
-
-@pytest.mark.benchmark(group="prefork-render")
-def test_thread_pool_render_throughput(benchmark):
-    """Baseline: the GIL-bound 4-thread pool under the render-heavy load."""
-    stream = _zipf_stream()
-    report = benchmark.pedantic(_measure_thread, args=(stream,),
-                                rounds=1, iterations=1)
-    if report is None:                      # --benchmark-disable path
-        report = _measure_thread(stream)
-    _check(report)
-    print()
-    print(f"thread[{PROCS}] {report.requests_per_s:.1f} req/s, "
-          f"p99 {report.latency_percentile_ms(99):.1f}ms "
-          f"@ {CLIENTS} clients")
 
 
 @pytest.mark.benchmark(group="prefork-render")

@@ -1,21 +1,16 @@
 """EXPERIMENT S-SAN -- what the concurrency sanitizer costs at runtime.
 
-Measures the two instrumentation layers against their bare-stdlib
-baselines:
+Bounds the two costs nothing else measures:
 
 * uncontended acquire/release of an :class:`InstrumentedLock` vs a raw
   ``threading.Lock`` (the serve hot path: every cache hit takes
   ``PageCache._lock`` once),
-* attribute reads and writes through a :class:`SharedProxy` vs direct
-  attribute access,
 * the inactive-facade fast path: ``register_lock`` with no sanitizer
   active must stay a constant-time no-op.
 
 The acceptance check bounds the *relative* overhead generously (50x)
 rather than asserting wall-clock numbers: the sanitizer is a debugging
-mode, its contract is "usable under test load", not "free".  CI runs
-this file check-only (``--benchmark-disable``), so the assertions are
-what gates.
+mode, its contract is "usable under test load", not "free".
 """
 
 from __future__ import annotations
@@ -49,40 +44,6 @@ def _spin_lock(lock, rounds: int = ROUNDS):
             with lock:
                 pass
     return run
-
-
-def _spin_attrs(obj, rounds: int = ROUNDS):
-    def run():
-        for _ in range(rounds):
-            obj.value = 1
-            _ = obj.value
-    return run
-
-
-@pytest.mark.benchmark(group="sanitize-lock")
-def test_bare_lock_roundtrip(benchmark):
-    benchmark(_spin_lock(threading.Lock()))
-
-
-@pytest.mark.benchmark(group="sanitize-lock")
-def test_instrumented_lock_roundtrip(benchmark):
-    san = Sanitizer()
-    lock = san.wrap(threading.Lock(), "bench.lock")
-    benchmark(_spin_lock(lock))
-    assert san.counters()["races"] == 0
-
-
-@pytest.mark.benchmark(group="sanitize-proxy")
-def test_bare_attribute_access(benchmark):
-    benchmark(_spin_attrs(type("O", (), {})()))
-
-
-@pytest.mark.benchmark(group="sanitize-proxy")
-def test_proxied_attribute_access(benchmark):
-    san = Sanitizer()
-    obj = san.share(type("O", (), {})(), "bench.obj")
-    benchmark(_spin_attrs(obj))
-    assert san.counters()["races"] == 0
 
 
 def test_lock_overhead_bounded():

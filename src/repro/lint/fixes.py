@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import difflib
 import re
-import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.activities.parser import parse_activity
 from repro.activities.writer import write_activity
@@ -715,12 +714,3 @@ def render_check_report(report: CheckReport) -> str:
                      + (f", {len(report.renamed)} rename(s)"
                         if report.renamed else ""))
     return "\n".join(lines) + "\n"
-
-
-def copy_corpus(source: str | Path, target: str | Path) -> Path:
-    """Copy a content directory's ``*.md`` files (fixture/bench helper)."""
-    source_dir, target_dir = Path(source), Path(target)
-    target_dir.mkdir(parents=True, exist_ok=True)
-    for path in sorted(source_dir.glob("*.md")):
-        shutil.copy(path, target_dir / path.name)
-    return target_dir

@@ -30,7 +30,7 @@ form the paper's artifact (pdcunplugged.org) actually takes:
   breaker/shed/stale counters (``/api/metrics``); lock-striped per route.
 * :mod:`repro.serve.loadgen` — deterministic Zipf + API-mix load
   generation, serial / concurrent in-process / over-HTTP runners, with
-  shed-rate / limited-rate / stale-hit-rate accounting, multi-tenant
+  shed-rate / limited-rate / stale-hit accounting, multi-tenant
   key mixes, and ``Retry-After``-honoring retries.
 * :mod:`repro.serve.tenancy` — the multi-tenant admission edge
   (``--tenants``): API-key resolution, sliding-window per-tenant rate

@@ -6,11 +6,10 @@ of the hits), with a configurable slice of API traffic (activity listing,
 search queries, coverage tables) and a configurable split between
 conditional (``If-None-Match``) and unconditional requests.  Everything
 is seeded — the same profile and seed produce the same request stream,
-so benchmark runs and the ``/api/metrics`` acceptance test are
-reproducible.
+so test, benchmark and perfbench runs are reproducible.
 
 Includes :func:`call_app`, a minimal in-process WSGI client (no sockets),
-used by the load runner, the test suite, and ``benchmarks/bench_serve.py``.
+used by the load runners, the test suite, the benchmarks and perfbench.
 The runner emulates well-behaved browser caches: it remembers each URL's
 ETag and revalidates with ``If-None-Match``, so a warm run exercises the
 304 path exactly like repeat real-world traffic would.  Per-request
@@ -325,10 +324,6 @@ class LoadReport:
     def limited_rate(self) -> float:
         """Fraction of requests refused by the tenancy edge (429)."""
         return self.limited / self.requests if self.requests else 0.0
-
-    @property
-    def stale_hit_rate(self) -> float:
-        return self.stale_hits / self.requests if self.requests else 0.0
 
     def latency_percentile_ms(self, p: float) -> float:
         """Exact order-statistic percentile over recorded latencies, in ms."""

@@ -119,6 +119,7 @@ class TestMixedStreams:
         assert report.ok
         assert report.api_requests > 0
         assert report.revalidations > 0
+        assert report.stale_hits == 0
         assert len(report.latencies_s) == 300
         assert report.latency_percentile_ms(99.9) >= \
             report.latency_percentile_ms(50)

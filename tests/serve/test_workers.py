@@ -108,6 +108,7 @@ class TestConcurrentServing:
         assert set(report.statuses) <= {200, 304}
         assert report.revalidations > 0     # conditional clients earned 304s
         assert report.api_requests > 0
+        assert app.worker_pool.stats()["errors"] == 0
 
     def test_etag_304_contract_under_concurrency(self, threaded_server):
         _, _, base_url, _ = threaded_server

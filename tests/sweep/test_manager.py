@@ -166,14 +166,20 @@ class TestFaults:
             manager.close()
 
     def test_transient_run_faults_are_retried_away(self, tmp_path):
-        faults = parse_fault_spec("sweep-run:error@0.1", seed=11)
+        # At 10 % a small grid can draw no fault at all; seed 7 on this
+        # 12-point grid draws several, and the last assertion pins that.
+        faults = parse_fault_spec("sweep-run:error@0.1", seed=7)
         manager = SweepManager(store=ResultStore(tmp_path / "s"),
                                faults=faults, workers=1)
         try:
-            job = run(manager, spec(sizes=(4, 8), seeds=(0, 1, 2)))
+            job = run(manager, spec(
+                slugs=("findsmallestcard", "paralleladditioncards"),
+                sizes=(4, 8, 16), seeds=(0, 1)))
             progress = job.progress()
             assert progress["status"] == "done"
             assert progress["failed"] == 0      # retries absorbed the 10%
+            assert progress["executed"] == 12
+            assert faults.total_injected > 0    # ...that were injected
         finally:
             manager.close()
 
