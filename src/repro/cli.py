@@ -127,7 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the page cache (for benchmarking)")
     serve.add_argument("--watch-interval", type=float, default=1.0,
-                       help="seconds between content-change checks (incremental rebuild)")
+                       help="seconds between content-change checks: the "
+                            "background rebuild thread polls this often and "
+                            "requests never wake it; inline mode checks at "
+                            "most this often on the request path")
     serve.add_argument("--no-watch", action="store_true",
                        help="never rescan the content directory")
     serve.add_argument("--rebuild-mode", choices=["inline", "background"],
@@ -137,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(background, the default)")
     serve.add_argument("--debounce", type=float, default=0.05,
                        metavar="SECONDS",
-                       help="coalesce background rebuild pokes within this window")
+                       help="coalesce the pokes pre-fork peers send after a "
+                            "generation swap within this window")
     serve.add_argument("--breaker-threshold", type=int, default=3,
                        help="consecutive rebuild failures before the circuit "
                             "breaker opens and the server pins the last good "

@@ -248,7 +248,7 @@ class ServeApp:
                                     started=self._clock())
         shedder = self.shedder
         if shedder is not None and not shedder.try_acquire():
-            # Refusing must stay cheap: no rebuild poke, no dispatch.
+            # Refusing must stay cheap: no rebuild check, no dispatch.
             self.metrics.record_shed()
             response = Response.error(
                 503, "server over capacity, retry shortly", route="<shed>")
@@ -268,7 +268,9 @@ class ServeApp:
         path = environ.get("PATH_INFO") or "/"
         query = parse_qs(environ.get("QUERY_STRING", ""))
 
-        if self.watch:
+        if self.watch and self.background is None:
+            # Inline mode only: a background rebuild thread polls on its
+            # own interval, and a request never wakes it.
             self._check_rebuild()
 
         deadline = None
@@ -360,9 +362,6 @@ class ServeApp:
         return self.rebuilder.last_error is not None
 
     def _check_rebuild(self) -> None:
-        if self.background is not None:
-            self.background.poke()          # O(1); the thread does the work
-            return
         result = self.rebuilder.maybe_refresh()
         if result is not None and result.ok:
             self.on_rebuild(result)
@@ -963,7 +962,8 @@ def create_app(
     ``rebuild_mode="inline"`` (the default, and what tests rely on for
     synchronous edit visibility) refreshes on the request path;
     ``"background"`` starts a :class:`BackgroundRebuilder` thread with a
-    circuit breaker so no request's latency ever includes a re-scan.
+    circuit breaker that polls every ``watch_interval_s``, so no
+    request's latency ever includes a re-scan.
 
     ``tenants`` enables the multi-tenant admission edge: pass a
     :class:`~repro.serve.tenancy.TenancyConfig`, a config dict, a path
@@ -1053,9 +1053,12 @@ def run(host: str = "127.0.0.1", port: int = 8000, workers: int = 1,
         sanitize_budget_ms: float = 250.0, **app_kwargs) -> int:
     """Blocking entry point used by ``pdcunplugged serve``.
 
-    The CLI path defaults to the background rebuild pipeline: requests
-    never pay for a catalog re-scan, and rebuild failures degrade to
-    stale serving behind the circuit breaker instead of surfacing.
+    The CLI path defaults to the background rebuild pipeline: its
+    thread scans the content directory once per ``watch_interval_s``,
+    requests never pay for (or trigger) a re-scan, and rebuild failures
+    degrade to stale serving behind the circuit breaker instead of
+    surfacing.  Only pre-fork peers poke the thread, after a generation
+    swap; ``debounce_s`` coalesces those pokes.
 
     ``worker_model="process"`` switches to the pre-fork supervisor:
     ``workers`` becomes the process count (each with its own

@@ -683,13 +683,6 @@ class PreforkServer:
             time.sleep(poll_s)
         return False
 
-    def collect_metrics(self) -> list[dict]:
-        return self.fleet.collect_metrics()
-
-    def aggregate_metrics(self) -> dict:
-        """Supervisor-side fleet metrics (the merge the workers serve)."""
-        return self.fleet.metrics_payload()
-
     def stats(self) -> dict:
         with self._lock:
             return {

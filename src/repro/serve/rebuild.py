@@ -36,9 +36,10 @@ fingerprint is *not* advanced on failure, so the next check retries the
 build — which is what lets a circuit breaker's half-open probe heal.
 
 :class:`BackgroundRebuilder` moves the whole refresh off the request
-path: a dedicated thread waits on a condition variable, is poked by
-request workers (O(1): set a flag, notify), debounces bursts of pokes
-into one rebuild, and optionally consults a
+path: a dedicated thread polls the content directory once per watch
+interval, and requests never wake it.  Its only pokes come from
+pre-fork peers that swapped generations (O(1): set a flag, notify); it
+debounces a burst of those into one rebuild, and optionally consults a
 :class:`~repro.serve.resilience.CircuitBreaker` so a persistently
 failing pipeline backs off instead of burning CPU re-parsing a broken
 corpus on every poll.
@@ -234,12 +235,13 @@ class RebuildManager:
 class BackgroundRebuilder:
     """Runs rebuilds on a dedicated thread so requests never pay for one.
 
-    Request workers call :meth:`poke` — O(1): set a flag, notify — and
-    carry on serving the current generation.  The rebuild thread wakes,
-    sleeps ``debounce_s`` to coalesce a burst of pokes (a multi-file
-    save) into one rebuild, and runs ``manager.refresh()``.  With no
-    pokes it polls every ``poll_interval_s`` (pass ``None`` to rebuild
-    only when poked).
+    The thread runs ``manager.refresh()`` every ``poll_interval_s``
+    (pass ``None`` to rebuild only when poked); requests never wake it,
+    so a busy server scans no more often than an idle one.
+    :meth:`poke` — O(1): set a flag, notify — is for the pre-fork
+    control socket, whose peers poke after swapping a generation: the
+    thread wakes, sleeps ``debounce_s`` to coalesce a burst of pokes
+    into one rebuild, and refreshes.
 
     When a :class:`~repro.serve.resilience.CircuitBreaker` is attached,
     each rebuild outcome feeds it: consecutive failures trip it open and

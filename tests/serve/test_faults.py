@@ -459,20 +459,31 @@ class TestBackgroundRebuilder:
         assert "/activities/gardeners/" in result.dirty_urls
 
     def test_thread_rebuilds_on_poke(self, content):
+        # The pre-fork control socket's ``poke`` verb lands here: a burst
+        # of pokes sleeps one debounce window, then rebuilds once.
         manager = RebuildManager(content, min_interval_s=0.0)
-        results = []
-        rebuilder = BackgroundRebuilder(manager, debounce_s=0.0,
+        results, sleeps = [], []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+
+        rebuilder = BackgroundRebuilder(manager, debounce_s=0.1,
                                         poll_interval_s=None,
-                                        on_result=results.append)
+                                        on_result=results.append, sleep=sleep)
         rebuilder.start()
         try:
             edit(content)
-            rebuilder.poke()
+            for _ in range(5):
+                rebuilder.poke()
             deadline = time.monotonic() + 5.0
             while not results:
                 assert time.monotonic() < deadline, "rebuild never happened"
                 time.sleep(0.005)
-            assert results[0].ok
+            time.sleep(0.2)
+            assert len(results) == 1 and results[0].ok
+            assert sleeps == [0.1]
+            assert rebuilder.stats()["attempts"] == 1
         finally:
             rebuilder.stop()
         assert not rebuilder.running
@@ -854,7 +865,7 @@ class TestChaosAcceptanceLive:
             report = run_load_http(base, urls, clients=2)
             for round_no in range(4):
                 edit(content, suffix=f"\nLive chaos round {round_no}.\n")
-                time.sleep(0.1)        # let a watch poke land the rebuild
+                time.sleep(0.1)        # let a watch poll land the rebuild
                 report.merge(run_load_http(base, urls * 3, clients=2))
 
             assert report.unhandled_errors == 0

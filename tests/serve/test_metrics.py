@@ -301,7 +301,7 @@ class TestMetricsSchema:
             with urllib.request.urlopen(server.base_url + "/api/metrics",
                                         timeout=30) as resp:
                 payload = json.loads(resp.read())
-            supervisor_view = server.aggregate_metrics()
+            supervisor_view = server.fleet.metrics_payload()
         finally:
             server.stop()
         for merged in (payload, supervisor_view):

@@ -73,7 +73,7 @@ class TestFleetServing:
         for _ in range(40):
             status, _body = http_get(fleet.base_url, "/")
             assert status == 200
-        reports = fleet.collect_metrics()
+        reports = fleet.fleet.collect_metrics()
         assert len(reports) == WORKERS
         served = [r for r in reports
                   if sum(route["requests"]
@@ -110,7 +110,7 @@ class TestFleetServing:
         assert payload["fleet"]["responding"] == WORKERS
 
     def test_supervisor_side_aggregation_matches_shape(self, fleet):
-        merged = fleet.aggregate_metrics()
+        merged = fleet.fleet.metrics_payload()
         assert merged["fleet"]["responding"] == WORKERS
         assert merged["total_requests"] == sum(
             w["requests"] for w in merged["fleet"]["per_worker"].values())
@@ -195,10 +195,22 @@ class TestLifecycle:
 
 class TestGenerationCoordination:
     def test_edit_in_one_worker_swaps_every_process(self, tmp_path):
+        self._assert_poke_swaps_every_process(tmp_path, "inline")
+
+    def test_poke_wakes_the_background_rebuild_thread(self, tmp_path):
+        # Requests never wake a background rebuild thread, so in this
+        # mode the control-socket pokes are all that rebuild.
+        self._assert_poke_swaps_every_process(tmp_path, "background")
+
+    @staticmethod
+    def _assert_poke_swaps_every_process(tmp_path, rebuild_mode):
+        # With watch off nothing polls: only the control-socket pokes
+        # (worker 0's from the test, worker 1's from worker 0) rebuild.
         content = tmp_path / "content"
         shutil.copytree(corpus_dir(), content)
         server = PreforkServer(port=0, workers=2, content_dir=str(content),
-                               watch=False, rebuild_mode="inline", quiet=True)
+                               watch=False, rebuild_mode=rebuild_mode,
+                               quiet=True)
         server.start()
         try:
             assert server.wait_ready(timeout_s=60.0)

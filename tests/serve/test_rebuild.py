@@ -8,6 +8,7 @@ import random
 import shutil
 import sys
 import threading
+import time
 
 import pytest
 
@@ -205,6 +206,69 @@ class TestAppIntegration:
                             headers={"If-None-Match": first.etag})
         assert response.status == 200                    # content changed
         assert response.etag != first.etag
+
+
+class TestBackgroundPolling:
+    """In background mode the rebuild thread is the only thing that
+    starts a scan, at most once per watch interval: requests never wake
+    it, however many there are."""
+
+    INTERVAL_S = 0.2
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        from repro.serve import rebuild as rebuild_mod
+
+        calls = []
+        real = rebuild_mod.scan_content
+
+        def counted(content_dir):
+            calls.append(time.monotonic())
+            return real(content_dir)
+
+        monkeypatch.setattr(rebuild_mod, "scan_content", counted)
+        return calls
+
+    def make_app(self, content):
+        return create_app(content_dir=content, rebuild_mode="background",
+                          watch=True, watch_interval_s=self.INTERVAL_S)
+
+    def test_steady_traffic_scans_once_per_interval(self, content, scans):
+        app = self.make_app(content)
+        try:
+            paths = ["/", "/activities/gardeners/", "/api/activities",
+                     "/api/search?q=sorting"]
+            requests = 0
+            started = time.monotonic()
+            while time.monotonic() - started < 1.0:
+                assert call_app(app, paths[requests % len(paths)]).status == 200
+                requests += 1
+            elapsed = time.monotonic() - started
+        finally:
+            app.close()
+        assert requests > 100                 # the traffic was steady
+        # One scan per interval, plus one for each partial interval at
+        # either end; a request-driven poke rescans after every 50 ms
+        # debounce instead.
+        assert 1 <= len(scans) <= elapsed / self.INTERVAL_S + 2
+
+    def test_edit_is_visible_after_one_poll_without_requests(self, content):
+        app = self.make_app(content)
+        try:
+            before = app.state
+            attempts = app.background.stats()["attempts"]
+            touch_append(content / "gardeners.md", "\nPolled in.\n")
+            deadline = time.monotonic() + 5.0
+            while app.state is before:
+                assert time.monotonic() < deadline, "edit never picked up"
+                time.sleep(0.01)
+            # The poll after the edit (or the one after that, when the
+            # edit raced a scan already under way) rebuilt it.
+            assert app.background.stats()["attempts"] - attempts <= 2
+            page = call_app(app, "/activities/gardeners/")
+            assert page.status == 200 and b"Polled in." in page.body
+        finally:
+            app.close()
 
 
 class TestIncrementalSearchPatch:
