@@ -33,22 +33,23 @@ lock-striped (:class:`~repro.serve.cache.ShardedPageCache`), and passing
 disk keyed by render-plan signature and reload on boot, so a restarted
 server answers its first requests from cache instead of re-rendering.
 
-Failure model (the degradation ladder, least to most degraded):
+Failure model: every request takes one path, :meth:`ServeApp.__call__`,
+which reads the clock once and runs a flat ladder in this order:
 
-1. **fresh** — the normal path;
-2. **stale** — the rebuild pipeline is failing (or its circuit breaker is
-   open): the last good generation keeps serving, 200s carry
-   ``Warning: 110`` and ``X-Stale`` headers;
-3. **degraded** — a render failed even after retries: ``503 +
-   Retry-After`` for that request, never a 500;
-4. **shed** — past the in-flight watermark (``max_inflight``) or over the
-   per-request budget (``request_timeout_ms``): ``503 + Retry-After``
-   answered cheaply.
+1. **tenant** — the optional multi-tenant edge (``tenants=``,
+   :mod:`repro.serve.tenancy`): a key over its sliding-window rate limit
+   or sweep quota gets ``429 + Retry-After`` before it touches anything;
+2. **shed** — past the in-flight watermark (``max_inflight``): ``503 +
+   Retry-After``, answered cheaply;
+3. **method** — anything but ``GET``/``HEAD`` (or ``POST``/``DELETE`` on
+   ``/api/sweeps``): ``405``;
+4. **dispatch** — over the per-request budget (``request_timeout_ms``) or
+   a render that failed even after retries: ``503 + Retry-After``; any
+   other exception: ``500``.
 
-Ahead of all four sits the optional multi-tenant admission edge
-(``tenants=``, :mod:`repro.serve.tenancy`): per-API-key sliding-window
-rate limits and per-tier quotas answered ``429 + Retry-After`` before a
-request touches the shedder, the cache, or a worker thread.
+A ``200`` served while the rebuild pipeline is failing (or its circuit
+breaker is open) comes from the last good generation and carries
+``Warning: 110`` and ``X-Stale``.
 
 ``/healthz`` (liveness) and ``/readyz`` (readiness: catalog loaded,
 breaker state, shed rate) expose the ladder to orchestrators, and
@@ -104,6 +105,12 @@ MAX_SIM_STUDENTS = 200
 MAX_SWEEP_BODY = 1 << 20
 
 
+def _json_body(payload: object) -> bytes:
+    """The one encoder for every JSON body, live or cached."""
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=str).encode("utf-8")
+
+
 @dataclass
 class Response:
     """One materialized HTTP response plus its metrics labels."""
@@ -118,18 +125,19 @@ class Response:
 
     @classmethod
     def json(cls, payload: object, status: int = 200, route: str = "<unmatched>",
-             **kwargs) -> "Response":
-        body = json.dumps(payload, indent=2, sort_keys=True,
-                          default=str).encode("utf-8")
-        return cls(status=status, body=body,
-                   content_type="application/json; charset=utf-8",
-                   route=route, **kwargs)
+             retry_after: int | None = None, **kwargs) -> "Response":
+        response = cls(status=status, body=_json_body(payload),
+                       content_type="application/json; charset=utf-8",
+                       route=route, **kwargs)
+        if retry_after is not None:
+            response.headers.append(("Retry-After", str(retry_after)))
+        return response
 
     @classmethod
     def error(cls, status: int, message: str, route: str = "<unmatched>",
-              **extra) -> "Response":
+              retry_after: int | None = None, **extra) -> "Response":
         return cls.json({"error": message, "status": status, **extra},
-                        status=status, route=route)
+                        status=status, route=route, retry_after=retry_after)
 
 
 class ServeApp:
@@ -228,93 +236,81 @@ class ServeApp:
     # -- WSGI entry point --------------------------------------------------
 
     def __call__(self, environ, start_response):
-        # Outermost rung: tenant admission.  A quota-exhausted key is
-        # refused here, before the shedder, the cache, any render, or a
-        # worker thread — rejection costs a dict lookup and a counter.
-        if self.tenancy is not None:
-            decision = self.tenancy.admit(environ)
-            environ["repro.tenant"] = decision
-            if not decision.allowed:
-                response = Response.error(
-                    429,
-                    "sweep submission quota exhausted for this window"
-                    if decision.reason == "sweep-quota"
-                    else "rate limit exceeded for this key, retry later",
-                    route="<rate-limited>", tenant=decision.tenant,
-                    tier=decision.tier)
-                response.headers.append(
-                    ("Retry-After", str(decision.retry_after)))
-                return self._finish(environ, start_response, response,
-                                    started=self._clock())
-        shedder = self.shedder
-        if shedder is not None and not shedder.try_acquire():
-            # Refusing must stay cheap: no rebuild check, no dispatch.
-            self.metrics.record_shed()
-            response = Response.error(
-                503, "server over capacity, retry shortly", route="<shed>")
-            response.headers.append(
-                ("Retry-After", str(shedder.retry_after())))
-            return self._finish(environ, start_response, response,
-                                started=self._clock())
-        try:
-            return self._handle(environ, start_response)
-        finally:
-            if shedder is not None:
-                shedder.release()
+        """The one request path: the module docstring's ladder, in order.
 
-    def _handle(self, environ, start_response):
+        The clock is read once, here, so every answer's latency covers
+        the whole ladder, and every answer leaves through :meth:`_finish`.
+        """
         started = self._clock()
         method = environ.get("REQUEST_METHOD", "GET").upper()
         path = environ.get("PATH_INFO") or "/"
-        query = parse_qs(environ.get("QUERY_STRING", ""))
-
-        if self.watch and self.background is None:
-            # Inline mode only: a background rebuild thread polls on its
-            # own interval, and a request never wakes it.
-            self._check_rebuild()
-
-        deadline = None
-        if self.request_timeout_ms is not None:
-            deadline = Deadline(self.request_timeout_ms / 1e3, clock=self._clock)
-
-        is_sweep = path == "/api/sweeps" or path.startswith("/api/sweeps/")
-        if method not in ("GET", "HEAD") and not (
-                is_sweep and method in ("POST", "DELETE")):
-            response = Response.error(405, f"method {method} not allowed",
-                                      route="<method-not-allowed>")
-        else:
-            try:
-                if is_sweep:
+        decision = None
+        if self.tenancy is not None:
+            decision = environ["repro.tenant"] = self.tenancy.admit(environ)
+        outcome = "allowed"             # the tenant's edge outcome
+        shedder, admitted = self.shedder, False
+        try:
+            if decision is not None and not decision.allowed:
+                # Refused before the shedder, the cache, any render or a
+                # worker thread: rejection costs a dict lookup and a counter.
+                quota = decision.reason == "sweep-quota"
+                outcome = "sweep_limited" if quota else "limited"
+                response = Response.error(
+                    429, "sweep submission quota exhausted for this window"
+                    if quota else "rate limit exceeded for this key, retry later",
+                    route="<rate-limited>", retry_after=decision.retry_after,
+                    tenant=decision.tenant, tier=decision.tier)
+            elif shedder is not None and not (admitted := shedder.try_acquire()):
+                # Refusing must stay cheap: no rebuild check, no dispatch.
+                self.metrics.record_shed()
+                outcome = "shed"
+                response = Response.error(
+                    503, "server over capacity, retry shortly", route="<shed>",
+                    retry_after=shedder.retry_after())
+            else:
+                if self.watch and self.background is None:
+                    # Inline mode only: a background rebuild thread polls on
+                    # its own interval, and a request never wakes it.
+                    result = self.rebuilder.maybe_refresh()
+                    if result is not None and result.ok:
+                        self.on_rebuild(result)
+                deadline = None
+                if self.request_timeout_ms is not None:
+                    deadline = Deadline(self.request_timeout_ms / 1e3,
+                                        clock=self._clock)
+                is_sweep = path == "/api/sweeps" or path.startswith("/api/sweeps/")
+                if method not in ("GET", "HEAD") and not (
+                        is_sweep and method in ("POST", "DELETE")):
+                    response = Response.error(405, f"method {method} not allowed",
+                                              route="<method-not-allowed>")
+                elif is_sweep:
                     response = self._api_sweeps(method, path, environ)
                 else:
-                    response = self._dispatch(path, query, deadline)
-            except DeadlineExceeded as exc:
-                self.metrics.record_deadline_expired()
-                response = Response.error(503, str(exc), route="<deadline>")
-                response.headers.append(("Retry-After", self._retry_after()))
-            except (RetryError, InjectedFault) as exc:
-                # Render failed even after retries: degrade honestly with
-                # a retryable 503, never an unhandled 500.
-                self.metrics.record_degraded()
-                response = Response.error(
-                    503, f"temporarily degraded: {exc}", route="<degraded>")
-                response.headers.append(("Retry-After", self._retry_after()))
-            except Exception as exc:            # pragma: no cover - safety net
-                response = Response.error(
-                    500, f"internal error: {type(exc).__name__}", route="<error>")
+                    response = self._dispatch(
+                        path, parse_qs(environ.get("QUERY_STRING", "")), deadline)
+        except DeadlineExceeded as exc:
+            self.metrics.record_deadline_expired()
+            response = Response.error(
+                503, str(exc), route="<deadline>",
+                retry_after=shedder.retry_after() if shedder is not None else 1)
+        except (RetryError, InjectedFault) as exc:
+            # Render failed even after retries: degrade honestly with a
+            # retryable 503, priced like a shed, never an unhandled 500.
+            self.metrics.record_degraded()
+            response = Response.error(
+                503, f"temporarily degraded: {exc}", route="<degraded>",
+                retry_after=shedder.retry_after() if shedder is not None else 1)
+        except Exception as exc:            # the safety net
+            response = Response.error(
+                500, f"internal error: {type(exc).__name__}", route="<error>")
+        finally:
+            if admitted:
+                shedder.release()
+        return self._finish(environ, start_response, response, started,
+                            outcome)
 
-        return self._finish(environ, start_response, response, started)
-
-    def _retry_after(self) -> str:
-        """``Retry-After`` for a retryable 503, priced like a shed: the
-        shedder's pressure-scaled hint when one fronts the app, else its
-        one-second base, bounded either way by :func:`bounded_retry_after`."""
-        if self.shedder is not None:
-            return str(self.shedder.retry_after())
-        return str(bounded_retry_after(1.0))
-
-    def _finish(self, environ, start_response, response: Response, started):
-        method = environ.get("REQUEST_METHOD", "GET").upper()
+    def _finish(self, environ, start_response, response: Response, started,
+                outcome: str):
         if response.status == 200 and self._currently_stale():
             response.headers.append(("Warning", STALE_WARNING))
             response.headers.append(("X-Stale", "1"))
@@ -323,27 +319,18 @@ class ServeApp:
         inm = environ.get("HTTP_IF_NONE_MATCH")
         if (response.status == 200 and response.etag
                 and inm and response.etag in [t.strip() for t in inm.split(",")]):
-            response = Response(
-                status=304, body=b"", content_type=response.content_type,
-                etag=response.etag, route=response.route,
-                cache_status=response.cache_status, headers=response.headers)
+            response.status = 304
 
         elapsed = self._clock() - started
         self.metrics.record_request(
             response.route, response.status, elapsed, response.cache_status)
         decision = environ.get("repro.tenant")
         if decision is not None and not decision.exempt:
-            if not decision.allowed:
-                outcome = ("sweep_limited" if decision.reason == "sweep-quota"
-                           else "limited")
-            elif response.route == "<shed>":
-                outcome = "shed"
-            else:
-                outcome = "allowed"
             self.metrics.record_tenant(decision.tenant, outcome,
                                        response.status, elapsed)
 
         status_line = f"{response.status} {HTTPStatus(response.status).phrase}"
+        method = environ.get("REQUEST_METHOD", "GET").upper()
         body = b"" if method == "HEAD" or response.status == 304 else response.body
         headers = [("Content-Type", response.content_type),
                    ("Content-Length", str(len(body)))]
@@ -360,11 +347,6 @@ class ServeApp:
         if self.background is not None and self.background.stale:
             return True
         return self.rebuilder.last_error is not None
-
-    def _check_rebuild(self) -> None:
-        result = self.rebuilder.maybe_refresh()
-        if result is not None and result.ok:
-            self.on_rebuild(result)
 
     def on_rebuild(self, result) -> None:
         """Account a successful rebuild and evict exactly its dirty URLs."""
@@ -421,7 +403,6 @@ class ServeApp:
 
     def _readyz(self) -> Response:
         """Readiness; in a process fleet, false until *all* workers warm."""
-        route = "/readyz"
         payload = self.local_readiness()
         ready = payload["ready"]
         if self.fleet is not None:
@@ -429,11 +410,8 @@ class ServeApp:
             payload["fleet"] = fleet_info
             ready = ready and fleet_ready
             payload["ready"] = ready
-        if ready:
-            return Response.json(payload, route=route)
-        response = Response.json(payload, status=503, route=route)
-        response.headers.append(("Retry-After", "1"))
-        return response
+        return Response.json(payload, status=200 if ready else 503,
+                             route="/readyz", retry_after=None if ready else 1)
 
     def _render_guarded(self, render):
         """Run a render with fault injection and transient-error retry."""
@@ -462,29 +440,25 @@ class ServeApp:
             task = self.state.plan_by_url[path]
             render = lambda: task.render().encode("utf-8")  # noqa: E731
         key = cache_key or path
-
-        if self.cache is not None:
-            entry = self.cache.get(key)
+        cache = self.cache
+        if cache is not None:
+            entry = cache.get(key)
             if entry is not None:
                 return Response(status=200, body=entry.body,
                                 content_type=entry.content_type,
                                 etag=entry.etag, route=route, cache_status="hit")
-            if deadline is not None:
-                deadline.check("render-start")
-            body = self._render_guarded(render)
-            entry = self.cache.put(key, body, content_type, gated=True)
-            if deadline is not None:
-                deadline.check("render")
-            return Response(status=200, body=body, content_type=content_type,
-                            etag=entry.etag, route=route, cache_status="miss")
-
         if deadline is not None:
             deadline.check("render-start")
         body = self._render_guarded(render)
+        if cache is not None:
+            etag = cache.put(key, body, content_type, gated=True).etag
+        else:
+            etag = make_etag(body)
         if deadline is not None:
             deadline.check("render")
         return Response(status=200, body=body, content_type=content_type,
-                        etag=make_etag(body), route=route)
+                        etag=etag, route=route,
+                        cache_status="miss" if cache is not None else None)
 
     # -- API ---------------------------------------------------------------
 
@@ -514,10 +488,8 @@ class ServeApp:
                     deadline: Deadline | None = None) -> Response:
         """A JSON endpoint whose body only changes when the corpus does."""
         route = route or key
-        render = lambda: json.dumps(  # noqa: E731
-            payload(), indent=2, sort_keys=True, default=str).encode("utf-8")
         return self._serve_rendered(
-            key, route, render=render,
+            key, route, render=lambda: _json_body(payload()),
             content_type="application/json; charset=utf-8", cache_key=key,
             deadline=deadline)
 
@@ -740,10 +712,9 @@ class ServeApp:
         try:
             job = self.sweeps.submit(spec, tenant=tenant)
         except SweepRejected as exc:
-            response = Response.error(429, str(exc), route=route)
-            response.headers.append(
-                ("Retry-After", str(bounded_retry_after(exc.retry_after_s))))
-            return response
+            return Response.error(
+                429, str(exc), route=route,
+                retry_after=bounded_retry_after(exc.retry_after_s))
         accepted = job.progress()
         accepted["spec"] = spec.canonical()
         return Response.json(accepted, status=202, route=route)

@@ -197,21 +197,6 @@ class MetricsRegistry:
                 self._counters["rate_limited"] += 1
         stats.record(outcome, status, elapsed_s)
 
-    @property
-    def total_requests(self) -> int:
-        with self._lock:
-            routes = list(self._routes.values())
-        return sum(s.requests for s in routes)
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Hits over cacheable lookups (0.0 before any cacheable traffic)."""
-        with self._lock:
-            hits = self._counters["cache_hits"]
-            misses = self._counters["cache_misses"]
-        looked_up = hits + misses
-        return hits / looked_up if looked_up else 0.0
-
     def _tables(self) -> tuple[dict, dict, dict, float]:
         """Consistent copies: routes, tenants, counters, start time."""
         with self._lock:

@@ -273,11 +273,6 @@ class LoadShedder:
             pressure = self._shed_streak / (4.0 * self.max_inflight)
         return bounded_retry_after(self.retry_after_s * (1.0 + pressure))
 
-    @property
-    def shed_total(self) -> int:
-        with self._lock:
-            return self._shed
-
     def shed_rate(self) -> float:
         with self._lock:
             seen = self._admitted + self._shed

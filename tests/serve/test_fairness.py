@@ -281,3 +281,36 @@ class TestFleetCoherence:
         assert hot["errors"] == 0
         assert payload["resilience"]["rate_limited"] == (
             hot["limited"] + hot["sweep_limited"])
+
+
+class TestLimiterFaultsInFleet:
+    """A limiter that fails on every call, in every worker process."""
+
+    def test_faulted_limiter_admits_degraded_open_fleet_wide(self):
+        fleet = PreforkServer(port=0, workers=2, watch=False,
+                              rebuild_mode="inline", quiet=True,
+                              tenants=TENANTS,
+                              fault_spec="rate-limit:error@1.0")
+        fleet.start()
+        try:
+            assert fleet.wait_ready(timeout_s=90.0), "fleet never ready"
+            sent = 2 * HOT_CAP
+            statuses = [http_get(fleet.base_url, "/", key="sk-hot")[0]
+                        for _ in range(sent)]
+            # Past the tier's budget, yet no 429 and no 500: a sick
+            # limiter admits every request.
+            assert set(statuses) <= {200, 304}, statuses
+
+            _, _, body = http_get(fleet.base_url, "/api/metrics")
+            payload = json.loads(body)
+            per_worker = payload["fleet"]["per_worker"]
+            assert len(per_worker) == 2
+            errors = sum(entry["tenancy"]["limiter_errors"]
+                         for entry in per_worker.values())
+            # Every request above was a limiter error, and so was the
+            # metrics poll itself (only /healthz and /readyz skip the edge).
+            assert errors == sent + 1, per_worker
+            assert payload["resilience"]["rate_limited"] == 0
+            assert "<rate-limited>" not in payload["routes"]
+        finally:
+            fleet.stop()

@@ -384,7 +384,7 @@ class TestLoadShedder:
         assert shedder.try_acquire()
         assert shedder.try_acquire()
         assert not shedder.try_acquire()
-        assert shedder.shed_total == 1
+        assert shedder.stats()["shed"] == 1
         shedder.release()
         assert shedder.try_acquire()
 

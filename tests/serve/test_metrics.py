@@ -79,7 +79,7 @@ class TestMetricsRegistry:
         assert snap["rebuilds"] == {"count": 2, "files_rerendered": 4}
 
     def test_hit_ratio_zero_without_traffic(self):
-        assert MetricsRegistry().cache_hit_ratio == 0.0
+        assert MetricsRegistry().snapshot()["cache"]["hit_ratio"] == 0.0
 
 
 class TestThreadSafety:
@@ -111,7 +111,6 @@ class TestThreadSafety:
         total = threads_n * per_thread
         snapshot = registry.snapshot()
         assert snapshot["total_requests"] == total
-        assert registry.total_requests == total
         per_route = total // 4
         for route, stats in snapshot["routes"].items():
             assert stats["requests"] == per_route, route
