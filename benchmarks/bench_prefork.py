@@ -65,8 +65,7 @@ def _measure_thread(stream) -> "LoadReport":
 
 def _measure_prefork(stream) -> "LoadReport":
     fleet = PreforkServer(port=0, workers=PROCS, threads_per_worker=2,
-                          watch=False, rebuild_mode="inline", quiet=True,
-                          cache_enabled=False)
+                          watch=False, quiet=True, cache_enabled=False)
     fleet.start()
     try:
         assert fleet.wait_ready(timeout_s=120.0), "fleet never became ready"

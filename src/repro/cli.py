@@ -128,16 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable the page cache (for benchmarking)")
     serve.add_argument("--watch-interval", type=float, default=1.0,
                        help="seconds between content-change checks: the "
-                            "background rebuild thread polls this often and "
-                            "requests never wake it; inline mode checks at "
-                            "most this often on the request path")
+                            "rebuild thread polls this often and requests "
+                            "never wake it")
     serve.add_argument("--no-watch", action="store_true",
                        help="never rescan the content directory")
-    serve.add_argument("--rebuild-mode", choices=["inline", "background"],
-                       default="background",
-                       help="rebuild on the request path (inline) or in a "
-                            "dedicated thread behind a circuit breaker "
-                            "(background, the default)")
     serve.add_argument("--debounce", type=float, default=0.05,
                        metavar="SECONDS",
                        help="coalesce the pokes pre-fork peers send after a "
@@ -442,7 +436,6 @@ def main(argv: list[str] | None = None) -> int:
             cache_enabled=not args.no_cache,
             watch_interval_s=args.watch_interval,
             watch=not args.no_watch,
-            rebuild_mode=args.rebuild_mode,
             debounce_s=args.debounce,
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset_s,

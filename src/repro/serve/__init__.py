@@ -18,7 +18,8 @@ form the paper's artifact (pdcunplugged.org) actually takes:
   control sockets, and crash respawn with backoff.
 * :mod:`repro.serve.rebuild` — content watching and incremental
   generation swaps (only dirty URLs are evicted / re-rendered; the
-  search index is patched, not rebuilt); the background rebuild thread.
+  search index is patched, not rebuilt); the rebuild thread every app
+  refreshes through, off the request path.
 * :mod:`repro.serve.resilience` — circuit breaker, request deadlines,
   load shedding: the degradation ladder.
 * :mod:`repro.serve.faults` — deterministic, seedable fault injection

@@ -23,8 +23,9 @@ JSON query API over the same engines the paper's evaluation uses:
   the served corpus, recomputed when the corpus generation changes.
 
 Pure stdlib (``wsgiref``), no new runtime dependencies.  Content changes
-are picked up between requests by the :class:`~repro.serve.rebuild.RebuildManager`,
-which evicts exactly the dirty URLs from the cache.
+are picked up off the request path by the app's one
+:class:`~repro.serve.rebuild.BackgroundRebuilder`, whose successful
+rebuilds evict exactly the dirty URLs from the cache.
 
 Concurrency: ``create_server(workers=N)`` services connections on a
 :class:`~repro.serve.workers.WorkerPool`, the default page cache is
@@ -59,8 +60,10 @@ breaker state, shed rate) expose the ladder to orchestrators, and
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import TYPE_CHECKING
@@ -145,30 +148,30 @@ class ServeApp:
 
     def __init__(
         self,
-        rebuilder: RebuildManager,
+        background: BackgroundRebuilder,
         cache: PageCache | ShardedPageCache | None = None,
         metrics: MetricsRegistry | None = None,
-        watch: bool = True,
         store: CacheStore | None = None,
         clock=time.perf_counter,
         faults=None,
         request_timeout_ms: float | None = None,
         shedder: LoadShedder | None = None,
         retry: RetryPolicy | None = None,
-        background: BackgroundRebuilder | None = None,
         sweeps: SweepManager | None = None,
         tenancy: TenantGate | None = None,
     ):
-        self.rebuilder = rebuilder
+        # The one rebuild pipeline: every successful rebuild, from the
+        # thread or from run_once(), evicts through on_rebuild.
+        self.background = background
+        background.on_result = self.on_rebuild
+        self.rebuilder = background.manager
         self.cache = cache
         self.metrics = metrics or MetricsRegistry()
-        self.watch = watch
         self.store = store
         self.faults = faults
         self.request_timeout_ms = request_timeout_ms
         self.shedder = shedder
         self.retry = retry
-        self.background = background
         self.sweeps = sweeps
         self.tenancy = tenancy
         self.warm_loaded = 0
@@ -228,8 +231,11 @@ class ServeApp:
 
     def close(self) -> None:
         """Stop background work: the rebuild thread and the sweep plane."""
-        if self.background is not None:
-            self.background.stop()
+        self.background.stop()
+        # on_result is this app's bound method: dropping it breaks the
+        # app <-> rebuilder cycle, so a closed app is freed as soon as
+        # its last reference goes, not at the next cyclic collection.
+        self.background.on_result = None
         if self.sweeps is not None:
             self.sweeps.close()
 
@@ -268,12 +274,6 @@ class ServeApp:
                     503, "server over capacity, retry shortly", route="<shed>",
                     retry_after=shedder.retry_after())
             else:
-                if self.watch and self.background is None:
-                    # Inline mode only: a background rebuild thread polls on
-                    # its own interval, and a request never wakes it.
-                    result = self.rebuilder.maybe_refresh()
-                    if result is not None and result.ok:
-                        self.on_rebuild(result)
                 deadline = None
                 if self.request_timeout_ms is not None:
                     deadline = Deadline(self.request_timeout_ms / 1e3,
@@ -301,6 +301,9 @@ class ServeApp:
                 503, f"temporarily degraded: {exc}", route="<degraded>",
                 retry_after=shedder.retry_after() if shedder is not None else 1)
         except Exception as exc:            # the safety net
+            # The client learns only the type; the server's error stream
+            # (PEP 3333 ``wsgi.errors``) gets the message and traceback.
+            traceback.print_exc(file=environ.get("wsgi.errors", sys.stderr))
             response = Response.error(
                 500, f"internal error: {type(exc).__name__}", route="<error>")
         finally:
@@ -311,7 +314,7 @@ class ServeApp:
 
     def _finish(self, environ, start_response, response: Response, started,
                 outcome: str):
-        if response.status == 200 and self._currently_stale():
+        if response.status == 200 and self.background.stale:
             response.headers.append(("Warning", STALE_WARNING))
             response.headers.append(("X-Stale", "1"))
             self.metrics.record_stale_served()
@@ -341,12 +344,6 @@ class ServeApp:
         headers.extend(response.headers)
         start_response(status_line, headers)
         return [body]
-
-    def _currently_stale(self) -> bool:
-        """Whether responses come from a generation that failed to refresh."""
-        if self.background is not None and self.background.stale:
-            return True
-        return self.rebuilder.last_error is not None
 
     def on_rebuild(self, result) -> None:
         """Account a successful rebuild and evict exactly its dirty URLs."""
@@ -388,17 +385,16 @@ class ServeApp:
         queries — it must stay strictly local (no fleet fan-out), or two
         workers asking each other would recurse forever.
         """
-        breaker = self.background.breaker if self.background is not None else None
+        breaker_state = self.background.breaker.state
         payload = {
             "catalog_loaded": len(self.state.catalog) > 0,
             "generation": self.state.corpus_signature,
-            "stale": self._currently_stale(),
-            "breaker": breaker.state if breaker is not None else None,
+            "stale": self.background.stale,
+            "breaker": breaker_state,
             "shed_rate": (round(self.shedder.shed_rate(), 4)
                           if self.shedder is not None else 0.0),
         }
-        payload["ready"] = payload["catalog_loaded"] and (
-            breaker is None or breaker.state != OPEN)
+        payload["ready"] = payload["catalog_loaded"] and breaker_state != OPEN
         return payload
 
     def _readyz(self) -> Response:
@@ -736,15 +732,14 @@ class ServeApp:
             page_cache["warm_loaded"] = self.warm_loaded
         extras = {
             "generation": self.state.corpus_signature,
-            "stale": self._currently_stale(),
+            "stale": self.background.stale,
             "page_cache": page_cache,
             "pool": (self.worker_pool.stats() if self.worker_pool is not None
                      else {"workers": 1, "pooled": False}),
         }
         if self.rebuilder.last_error:
             extras["rebuild_last_error"] = self.rebuilder.last_error
-        if self.background is not None:
-            extras["rebuild_thread"] = self.background.stats()
+        extras["rebuild_thread"] = self.background.stats()
         if self.sweeps is not None:
             extras["sweeps"] = self.sweeps.stats()
         if self.tenancy is not None:
@@ -910,14 +905,13 @@ def create_app(
     fault_seed: int = 0,
     request_timeout_ms: float | None = None,
     max_inflight: int | None = None,
-    rebuild_mode: str = "inline",
+    rebuild_mode: str = "background",
     debounce_s: float = 0.05,
     breaker_threshold: int = 3,
     breaker_reset_s: float = 1.0,
     retry: RetryPolicy | None = None,
     sweep_workers: int = 1,
     sweep_max_jobs: int = 4,
-    sweep_deadline_s: float | None = None,
     tenants=None,
 ) -> ServeApp:
     """Build a ready-to-serve :class:`ServeApp` over a content directory
@@ -930,11 +924,14 @@ def create_app(
     requests after a restart are hits.  The search index is always built
     from the catalog.
 
-    ``rebuild_mode="inline"`` (the default, and what tests rely on for
-    synchronous edit visibility) refreshes on the request path;
-    ``"background"`` starts a :class:`BackgroundRebuilder` thread with a
-    circuit breaker that polls every ``watch_interval_s``, so no
-    request's latency ever includes a re-scan.
+    Every app refreshes through one :class:`BackgroundRebuilder` (with
+    a circuit breaker), so no request's latency ever includes a re-scan.
+    With ``watch=True`` its thread starts here and polls every
+    ``watch_interval_s``.  With ``watch=False`` no thread starts: the
+    owner refreshes with ``app.background.run_once()``, or starts the
+    thread so that pokes (a pre-fork peer's swap) wake it.
+    ``rebuild_mode`` accepts only ``"background"``: it is kept only
+    because the ``perfbench`` harness still passes it.
 
     ``tenants`` enables the multi-tenant admission edge: pass a
     :class:`~repro.serve.tenancy.TenancyConfig`, a config dict, a path
@@ -945,8 +942,10 @@ def create_app(
     if faults is None and fault_spec:
         faults = parse_fault_spec(fault_spec, seed=fault_seed)
     store = CacheStore(cache_dir, faults=faults) if cache_dir else None
-    rebuilder = RebuildManager(content_dir, min_interval_s=watch_interval_s,
-                               faults=faults)
+    if rebuild_mode != "background":
+        raise ValueError(f"unknown rebuild_mode {rebuild_mode!r} "
+                         f"(only 'background' remains)")
+    rebuilder = RebuildManager(content_dir, faults=faults)
     cache = None
     if cache_enabled:
         if cache_shards > 1:
@@ -962,29 +961,25 @@ def create_app(
         sweep_store = ResultStore(Path(cache_dir) / "sweeps", faults=faults)
     sweeps = SweepManager(
         store=sweep_store, workers=sweep_workers,
-        max_active_jobs=sweep_max_jobs, default_deadline_s=sweep_deadline_s,
-        faults=faults)
+        max_active_jobs=sweep_max_jobs, faults=faults)
     tenancy = None
     if tenants is not None:
         tenancy = TenantGate(TenancyConfig.load(tenants), faults=faults)
+    background = BackgroundRebuilder(
+        rebuilder,
+        breaker=CircuitBreaker(failure_threshold=breaker_threshold,
+                               reset_timeout_s=breaker_reset_s),
+        debounce_s=debounce_s,
+        poll_interval_s=watch_interval_s if watch else None)
     app = ServeApp(
-        rebuilder, cache=cache, metrics=metrics, watch=watch, store=store,
+        background, cache=cache, metrics=metrics, store=store,
         faults=faults, request_timeout_ms=request_timeout_ms,
         shedder=LoadShedder(max_inflight) if max_inflight else None,
         retry=retry if retry is not None else RetryPolicy(retries=1),
         sweeps=sweeps, tenancy=tenancy,
     )
-    if rebuild_mode == "background":
-        breaker = CircuitBreaker(failure_threshold=breaker_threshold,
-                                 reset_timeout_s=breaker_reset_s)
-        app.background = BackgroundRebuilder(
-            rebuilder, breaker=breaker, debounce_s=debounce_s,
-            poll_interval_s=watch_interval_s if watch else None,
-            on_result=app.on_rebuild)
-        app.background.start()
-    elif rebuild_mode != "inline":
-        raise ValueError(f"unknown rebuild_mode {rebuild_mode!r} "
-                         f"(expected 'inline' or 'background')")
+    if watch:
+        background.start()
     app.warm_start()
     return app
 
@@ -1024,12 +1019,12 @@ def run(host: str = "127.0.0.1", port: int = 8000, workers: int = 1,
         sanitize_budget_ms: float = 250.0, **app_kwargs) -> int:
     """Blocking entry point used by ``pdcunplugged serve``.
 
-    The CLI path defaults to the background rebuild pipeline: its
-    thread scans the content directory once per ``watch_interval_s``,
-    requests never pay for (or trigger) a re-scan, and rebuild failures
-    degrade to stale serving behind the circuit breaker instead of
-    surfacing.  Only pre-fork peers poke the thread, after a generation
-    swap; ``debounce_s`` coalesces those pokes.
+    The app's rebuild thread scans the content directory once per
+    ``watch_interval_s``, requests never pay for (or trigger) a
+    re-scan, and rebuild failures degrade to stale serving behind the
+    circuit breaker instead of surfacing.  Only pre-fork peers poke the
+    thread, after a generation swap; ``debounce_s`` coalesces those
+    pokes.
 
     ``worker_model="process"`` switches to the pre-fork supervisor:
     ``workers`` becomes the process count (each with its own
@@ -1058,7 +1053,6 @@ def run(host: str = "127.0.0.1", port: int = 8000, workers: int = 1,
     if worker_model != "thread":
         raise ValueError(f"unknown worker_model {worker_model!r} "
                          f"(expected 'thread' or 'process')")
-    app_kwargs.setdefault("rebuild_mode", "background")
     server, app = create_server(host, port, workers=workers,
                                 queue_limit=queue_limit, **app_kwargs)
     bound_port = server.server_address[1]

@@ -362,6 +362,9 @@ def _worker_main(index: int, listen_socket: socket.socket,
 
     app = create_app(**kwargs)
     app.fleet = FleetLinks(runtime_dir, index, workers)
+    # Peers' pokes wake the rebuild thread, so it runs even with
+    # watch=False (it then sleeps until poked).
+    app.background.start()
 
     tenancy_sync = None
     if app.tenancy is not None:
@@ -404,29 +407,13 @@ def _worker_main(index: int, listen_socket: socket.socket,
     signal.signal(signal.SIGTERM, request_shutdown)
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # parent owns Ctrl-C
 
-    def _poke(_request) -> dict:
-        if app.background is not None:
-            app.background.poke()
-            return {"ok": True, "mode": "background"}
-
-        def refresh() -> None:
-            try:
-                result = app.rebuilder.refresh()
-                if result is not None and result.ok:
-                    app.on_rebuild(result)
-            except Exception:               # noqa: BLE001 - poke is advisory
-                log.exception("poked refresh failed")
-
-        threading.Thread(target=refresh, daemon=True).start()
-        return {"ok": True, "mode": "inline"}
-
     control = ControlServer(
         worker_socket_path(runtime_dir, index),
         handlers={
             "ready": lambda _r: dict(app.local_readiness(), worker=index,
                                      pid=os.getpid()),
             "metrics": lambda _r: app.fleet.report(app),
-            "poke": _poke,
+            "poke": lambda _r: (app.background.poke(), {"ok": True})[1],
             "tenancy": lambda _r: {
                 "worker": index, "pid": os.getpid(),
                 "view": (app.tenancy.view()
@@ -700,7 +687,6 @@ def run_prefork(host: str = "127.0.0.1", port: int = 8000,
                 threads_per_worker: int = 2, quiet: bool = False,
                 **app_kwargs) -> int:
     """Blocking CLI entry point for ``serve --worker-model process``."""
-    app_kwargs.setdefault("rebuild_mode", "background")
     if int(app_kwargs.pop("sweep_workers", 1) or 1) > 1:
         print("note: --sweep-workers > 1 is ignored in process mode "
               "(sweep points run inline inside each worker)")

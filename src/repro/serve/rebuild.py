@@ -3,8 +3,8 @@
 :class:`ServerState` is one immutable-ish generation of everything the
 server needs: the parsed catalog, the renderable :class:`~repro.sitegen.site.Site`,
 the search index, and the render plan keyed by URL.  :class:`RebuildManager`
-watches the content directory (cheap mtime/size fingerprint, throttled) and,
-when a source file changes, builds the *next* generation and diffs the two
+watches the content directory (cheap mtime/size fingerprint) and, when a
+source file changes, builds the *next* generation and diffs the two
 render plans' signatures — the result names exactly the URLs whose rendered
 bytes changed, which is what the page cache evicts.  Unchanged pages keep
 their signatures, so a subsequent ``site.build(out, incremental=True)``
@@ -25,9 +25,9 @@ Incremental pieces carried across generations:
   :meth:`~repro.sitegen.search.SearchIndex.patched_from_catalog` for just
   the changed source documents instead of re-tokenizing the corpus.
 
-Refreshing is safe under the multi-worker server: a non-blocking mutex
-ensures exactly one thread rebuilds while the rest keep serving the old
-generation, and the swap itself is a single attribute assignment.
+Refreshing is safe under the multi-worker server: the refresh mutex
+ensures exactly one rebuild of a given edit while requests keep serving
+the old generation, and the swap itself is a single attribute assignment.
 
 A broken edit (e.g. a half-saved Markdown file) never takes the server
 down: the rebuild fails closed, the previous generation keeps serving, and
@@ -35,9 +35,10 @@ the error is reported in the rebuild result and ``/api/metrics``.  The
 fingerprint is *not* advanced on failure, so the next check retries the
 build — which is what lets a circuit breaker's half-open probe heal.
 
-:class:`BackgroundRebuilder` moves the whole refresh off the request
-path: a dedicated thread polls the content directory once per watch
-interval, and requests never wake it.  Its only pokes come from
+:class:`BackgroundRebuilder` is the one way a served generation is
+refreshed, and it keeps the whole refresh off the request path: a
+dedicated thread polls the content directory once per watch interval,
+and requests never wake it.  Its only pokes come from
 pre-fork peers that swapped generations (O(1): set a flag, notify); it
 debounces a burst of those into one rebuild, and optionally consults a
 :class:`~repro.serve.resilience.CircuitBreaker` so a persistently
@@ -57,7 +58,7 @@ from typing import Callable
 from repro import sanitize
 from repro.activities.catalog import Catalog, corpus_dir, scan_content
 from repro.sitegen.search import SearchIndex
-from repro.sitegen.site import RenderTask, Site, SiteConfig
+from repro.sitegen.site import RenderTask, Site
 
 __all__ = ["ServerState", "RebuildManager", "RebuildResult",
            "BackgroundRebuilder"]
@@ -66,21 +67,19 @@ __all__ = ["ServerState", "RebuildManager", "RebuildResult",
 class ServerState:
     """One generation of the served corpus: catalog + site + plan + search."""
 
-    def __init__(self, catalog: Catalog, config: SiteConfig | None = None,
-                 search: SearchIndex | None = None,
+    def __init__(self, catalog: Catalog, search: SearchIndex | None = None,
                  previous: "ServerState | None" = None):
         self.catalog = catalog
         self.site: Site = catalog.site(
-            config, previous=previous.catalog if previous else None)
+            previous=previous.catalog if previous else None)
         self.search = search if search is not None else SearchIndex.from_catalog(catalog)
         self.plan: list[RenderTask] = self.site.render_plan()
         self.plan_by_url: dict[str, RenderTask] = {t.url: t for t in self.plan}
         self._corpus_signature: str | None = None
 
     @classmethod
-    def from_content_dir(cls, content_dir: str | Path,
-                         config: SiteConfig | None = None) -> "ServerState":
-        return cls(Catalog.from_directory(content_dir), config)
+    def from_content_dir(cls, content_dir: str | Path) -> "ServerState":
+        return cls(Catalog.from_directory(content_dir))
 
     @property
     def signatures(self) -> dict[str, str]:
@@ -127,23 +126,12 @@ class RebuildResult:
 class RebuildManager:
     """Watches a content directory and swaps in new server generations."""
 
-    def __init__(
-        self,
-        content_dir: str | Path | None = None,
-        config: SiteConfig | None = None,
-        min_interval_s: float = 1.0,
-        clock=time.monotonic,
-        faults=None,
-    ):
+    def __init__(self, content_dir: str | Path | None = None, faults=None):
         self.content_dir = Path(content_dir) if content_dir else corpus_dir()
-        self.config = config
-        self.min_interval_s = min_interval_s
         self.faults = faults
-        self._clock = clock
-        self._last_check = clock()
         self._refresh_lock = threading.Lock()
         # Held across a full rebuild by design: exempt from the stall
-        # watchdog (contenders only ever poll it non-blockingly).
+        # watchdog (its only contenders are concurrent refresh() calls).
         sanitize.register_lock(self, "_refresh_lock",
                                "RebuildManager._refresh_lock",
                                stall_budget_ms=None)
@@ -151,26 +139,8 @@ class RebuildManager:
         # The catalog's own stat-before-read scan is the fingerprint.
         self._fingerprint = {name: fingerprint for name, (fingerprint, _)
                              in catalog._sources.items()}
-        self.state = ServerState(catalog, config)
+        self.state = ServerState(catalog)
         self.last_error: str | None = None
-
-    def maybe_refresh(self) -> RebuildResult | None:
-        """Throttled change check: no-op within ``min_interval_s`` of the last.
-
-        Safe to call from many worker threads: whichever thread wins the
-        (non-blocking) refresh mutex does the work, the rest return
-        immediately and keep serving the current generation.
-        """
-        if not self._refresh_lock.acquire(blocking=False):
-            return None
-        try:
-            now = self._clock()
-            if now - self._last_check < self.min_interval_s:
-                return None
-            self._last_check = now
-            return self._refresh_locked()
-        finally:
-            self._refresh_lock.release()
 
     def refresh(self) -> RebuildResult | None:
         """Rescan the content dir; rebuild and diff if anything changed.
@@ -178,58 +148,59 @@ class RebuildManager:
         Returns ``None`` when nothing changed, otherwise a
         :class:`RebuildResult`.  On a failed rebuild (unparseable content)
         the old generation stays live and ``result.error`` is set.
+        Concurrent calls serialize: whichever runs second finds the
+        fingerprint already advanced and returns ``None``.
         """
         with self._refresh_lock:
-            return self._refresh_locked()
+            fingerprint = scan_content(self.content_dir)
+            if fingerprint == self._fingerprint:
+                return None
+            started = time.monotonic()
+            changed = sorted(
+                set(fingerprint.items()) ^ set(self._fingerprint.items())
+            )
+            result = RebuildResult(
+                changed_sources=sorted({name for name, _ in changed})
+            )
+            # Activity document names are source-file stems; patching only
+            # these in the search index skips re-tokenizing the rest.
+            dirty_names = {Path(name).stem for name in result.changed_sources}
+            try:
+                if self.faults is not None:
+                    self.faults.maybe_fail("rebuild")
+                catalog = Catalog.from_directory(self.content_dir,
+                                                 previous=self.state.catalog,
+                                                 scan=fingerprint)
+                search = self.state.search.patched_from_catalog(
+                    catalog, dirty_names)
+                new_state = ServerState(catalog, search=search,
+                                        previous=self.state)
+            except Exception as exc:   # keep serving the old generation;
+                # the fingerprint is deliberately NOT advanced, so the next
+                # check retries the build instead of waiting for another edit
+                result.error = f"{type(exc).__name__}: {exc}"
+                self.last_error = result.error
+                result.duration_s = time.monotonic() - started
+                return result
+            self._fingerprint = fingerprint
+            result.search_patched = len(dirty_names)
 
-    def _refresh_locked(self) -> RebuildResult | None:
-        fingerprint = scan_content(self.content_dir)
-        if fingerprint == self._fingerprint:
-            return None
-        started = self._clock()
-        changed = sorted(
-            set(fingerprint.items()) ^ set(self._fingerprint.items())
-        )
-        result = RebuildResult(
-            changed_sources=sorted({name for name, _ in changed})
-        )
-        # Activity document names are source-file stems; patching only these
-        # in the search index skips re-tokenizing the unchanged corpus.
-        dirty_names = {Path(name).stem for name in result.changed_sources}
-        try:
-            if self.faults is not None:
-                self.faults.maybe_fail("rebuild")
-            catalog = Catalog.from_directory(self.content_dir,
-                                             previous=self.state.catalog,
-                                             scan=fingerprint)
-            search = self.state.search.patched_from_catalog(catalog, dirty_names)
-            new_state = ServerState(catalog, self.config, search=search,
-                                    previous=self.state)
-        except Exception as exc:           # keep serving the old generation;
-            # the fingerprint is deliberately NOT advanced, so the next
-            # check retries the build instead of waiting for another edit
-            result.error = f"{type(exc).__name__}: {exc}"
-            self.last_error = result.error
-            result.duration_s = self._clock() - started
+            old_sigs = self.state.signatures
+            new_sigs = new_state.signatures
+            result.dirty_urls = sorted(
+                url
+                for url in set(old_sigs) | set(new_sigs)
+                if old_sigs.get(url) != new_sigs.get(url)
+            )
+            # Unchanged pages carry their build signatures forward so a
+            # static incremental export after this refresh only re-renders
+            # dirty files.
+            new_state.site.seed_signatures(self.state.site.built_signatures)
+            self.state = new_state
+            self.last_error = None
+            result.generation = new_state.corpus_signature
+            result.duration_s = time.monotonic() - started
             return result
-        self._fingerprint = fingerprint
-        result.search_patched = len(dirty_names)
-
-        old_sigs = self.state.signatures
-        new_sigs = new_state.signatures
-        result.dirty_urls = sorted(
-            url
-            for url in set(old_sigs) | set(new_sigs)
-            if old_sigs.get(url) != new_sigs.get(url)
-        )
-        # Unchanged pages carry their build signatures forward so a static
-        # incremental export after this refresh only re-renders dirty files.
-        new_state.site.seed_signatures(self.state.site.built_signatures)
-        self.state = new_state
-        self.last_error = None
-        result.generation = new_state.corpus_signature
-        result.duration_s = self._clock() - started
-        return result
 
 
 class BackgroundRebuilder:
@@ -241,7 +212,9 @@ class BackgroundRebuilder:
     :meth:`poke` — O(1): set a flag, notify — is for the pre-fork
     control socket, whose peers poke after swapping a generation: the
     thread wakes, sleeps ``debounce_s`` to coalesce a burst of pokes
-    into one rebuild, and refreshes.
+    into one rebuild, and refreshes.  An owner that starts no thread
+    (nothing polls it and no peer pokes it) refreshes with
+    :meth:`run_once`.
 
     When a :class:`~repro.serve.resilience.CircuitBreaker` is attached,
     each rebuild outcome feeds it: consecutive failures trip it open and

@@ -69,7 +69,7 @@ class TestFacade:
 
 class TestServeIntegration:
     def test_api_metrics_reports_sanitizer_section(self, sanitizer, tmp_path):
-        app = create_app(watch=False, rebuild_mode="inline")
+        app = create_app(watch=False)
         response = call_app(app, "/api/metrics")
         assert response.status == 200
         section = json.loads(response.body)["sanitizer"]
@@ -83,19 +83,19 @@ class TestServeIntegration:
     def test_api_metrics_has_no_section_when_inactive(self):
         if sanitize.current() is not None:
             pytest.skip("session sanitized")
-        app = create_app(watch=False, rebuild_mode="inline")
+        app = create_app(watch=False)
         response = call_app(app, "/api/metrics")
         assert response.status == 200
         assert "sanitizer" not in json.loads(response.body)
 
     def test_metrics_extras_carry_sanitizer_for_fleet(self, sanitizer):
-        app = create_app(watch=False, rebuild_mode="inline")
+        app = create_app(watch=False)
         extras = app.metrics_extras()
         assert "sanitizer" in extras
         assert extras["sanitizer"]["races"] == 0
 
     def test_sanitized_requests_serve_identically(self, sanitizer):
-        app = create_app(watch=False, rebuild_mode="inline")
+        app = create_app(watch=False)
         for path in ("/", "/api/activities", "/api/search?q=race"):
             assert call_app(app, path).status == 200
         counters = sanitizer.counters()

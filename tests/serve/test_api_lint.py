@@ -52,8 +52,7 @@ def test_api_lint_snapshot_reused_until_corpus_changes(content_dir):
 
 
 def test_api_lint_refreshes_after_rebuild(content_dir):
-    app = create_app(content_dir=content_dir, watch=True,
-                     watch_interval_s=0.0)
+    app = create_app(content_dir=content_dir, watch=False)
     _, before = _get(app, "/api/lint")
     assert before["clean"] is True
 
@@ -63,6 +62,7 @@ def test_api_lint_refreshes_after_rebuild(content_dir):
             'courses: ["K_12", "CS1", "DSA"]',
             'courses: ["K_12", "CS1", "Bogus101"]'),
         encoding="utf-8")
+    assert app.background.run_once().ok
 
     _, after = _get(app, "/api/lint")
     assert after["signature"] != before["signature"]

@@ -86,8 +86,7 @@ def live_edge(request, tmp_path):
         server.server_close()
         app.close()
     else:
-        fleet = PreforkServer(port=0, workers=2, watch=False,
-                              rebuild_mode="inline", quiet=True,
+        fleet = PreforkServer(port=0, workers=2, watch=False, quiet=True,
                               tenants=TENANTS,
                               tenancy_sync_interval_s=0.05)
         fleet.start()
@@ -196,8 +195,7 @@ def quota_fleet(tmp_path):
     path = tmp_path / "tenants.json"
     path.write_text(json.dumps(FLEET_TENANTS))
     server = PreforkServer(port=0, workers=FLEET_WORKERS, watch=False,
-                           rebuild_mode="inline", quiet=True,
-                           tenants=str(path),
+                           quiet=True, tenants=str(path),
                            tenancy_sync_interval_s=0.05,
                            respawn_backoff_s=0.2,
                            monitor_interval_s=0.02)
@@ -287,8 +285,7 @@ class TestLimiterFaultsInFleet:
     """A limiter that fails on every call, in every worker process."""
 
     def test_faulted_limiter_admits_degraded_open_fleet_wide(self):
-        fleet = PreforkServer(port=0, workers=2, watch=False,
-                              rebuild_mode="inline", quiet=True,
+        fleet = PreforkServer(port=0, workers=2, watch=False, quiet=True,
                               tenants=TENANTS,
                               fault_spec="rate-limit:error@1.0")
         fleet.start()

@@ -441,7 +441,7 @@ class TestPoolSaturation:
 
 class TestBackgroundRebuilder:
     def make(self, content, faults=None, breaker=None):
-        manager = RebuildManager(content, min_interval_s=0.0, faults=faults)
+        manager = RebuildManager(content, faults=faults)
         rebuilder = BackgroundRebuilder(manager, breaker=breaker,
                                         debounce_s=0.0, poll_interval_s=None)
         return manager, rebuilder
@@ -461,7 +461,7 @@ class TestBackgroundRebuilder:
     def test_thread_rebuilds_on_poke(self, content):
         # The pre-fork control socket's ``poke`` verb lands here: a burst
         # of pokes sleeps one debounce window, then rebuilds once.
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         results, sleeps = [], []
 
         def sleep(seconds):
@@ -555,8 +555,8 @@ class TestStaleServing:
     def test_rebuild_failure_serves_stale_then_recovers(self, content):
         faults = FaultPlan([FaultRule("rebuild", "error", 1.0)])
         app = create_app(content_dir=content, watch=False,
-                         rebuild_mode="background", breaker_threshold=2,
-                         breaker_reset_s=0.05, faults=faults)
+                         breaker_threshold=2, breaker_reset_s=0.05,
+                         faults=faults)
         try:
             fresh = call_app(app, "/")
             assert fresh.status == 200
@@ -593,8 +593,7 @@ class TestStaleServing:
 
     def test_stale_marker_carries_into_304(self, content):
         faults = FaultPlan([FaultRule("rebuild", "error", 1.0)])
-        app = create_app(content_dir=content, watch=False,
-                         rebuild_mode="background", faults=faults)
+        app = create_app(content_dir=content, watch=False, faults=faults)
         try:
             etag = call_app(app, "/").headers["ETag"]
             edit(content)
@@ -646,6 +645,29 @@ class TestDegradedRenders:
         # One injected failure, one retry: the client never notices.
         assert call_app(app, "/").status == 200
         assert faults.total_injected == 1
+
+
+class TestSafetyNet:
+    def test_unhandled_error_leaves_its_traceback_in_wsgi_errors(
+            self, content, monkeypatch):
+        app = create_app(content_dir=content, watch=False)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("dispatch exploded")
+
+        monkeypatch.setattr(app, "_dispatch", boom)
+        streams = []
+
+        def recording(environ, start_response):
+            streams.append(environ["wsgi.errors"])
+            return app(environ, start_response)
+
+        response = call_app(recording, "/")
+        assert response.status == 500
+        assert b"dispatch exploded" not in response.body
+        trace = streams[0].getvalue()
+        assert "Traceback" in trace
+        assert "RuntimeError: dispatch exploded" in trace
 
 
 class TestRetryAfterBounds:
@@ -712,8 +734,7 @@ class TestOpsEndpoints:
         assert b'"ok"' in response.body
 
     def test_readyz_payload_when_healthy(self, content):
-        app = create_app(content_dir=content, watch=False,
-                         rebuild_mode="background", max_inflight=8)
+        app = create_app(content_dir=content, watch=False, max_inflight=8)
         try:
             response = call_app(app, "/readyz")
             assert response.status == 200
@@ -726,7 +747,7 @@ class TestOpsEndpoints:
     def test_metrics_expose_the_resilience_counters(self, content):
         faults = FaultPlan([FaultRule("render", "error", 1.0, limit=1)])
         app = create_app(content_dir=content, watch=False, faults=faults,
-                         rebuild_mode="background", max_inflight=4)
+                         max_inflight=4)
         try:
             call_app(app, "/")
             import json as json_mod
@@ -750,7 +771,7 @@ class TestChaosAcceptance:
         faults = parse_fault_spec(
             "rebuild:error@0.3,cache-read:error@0.05", seed=13)
         app = create_app(content_dir=content, cache_dir=tmp_path / "cache",
-                         watch=False, rebuild_mode="background",
+                         watch=False,
                          breaker_threshold=2, breaker_reset_s=0.02,
                          faults=faults)
         try:
@@ -783,8 +804,8 @@ class TestChaosAcceptance:
         """No request latency includes a catalog re-scan: with the
         background pipeline, p99 under concurrent edits stays within a
         budget far below one rebuild's cost."""
-        app = create_app(content_dir=content, rebuild_mode="background",
-                         watch=True, watch_interval_s=0.01, debounce_s=0.0)
+        app = create_app(content_dir=content, watch=True,
+                         watch_interval_s=0.01, debounce_s=0.0)
         try:
             run_load(app, LoadGenerator.for_app(app, seed=2).sample(30),
                      revalidate=False)       # warm the cache
@@ -838,8 +859,7 @@ class TestChaosAcceptanceLive:
 
         kwargs = dict(content_dir=str(content),
                       cache_dir=str(tmp_path / "cache"),
-                      watch=True, watch_interval_s=0.05,
-                      rebuild_mode="background", debounce_s=0.0,
+                      watch=True, watch_interval_s=0.05, debounce_s=0.0,
                       breaker_threshold=2, breaker_reset_s=0.05,
                       fault_spec="rebuild:error@0.3", fault_seed=13)
         if worker_model == "thread":

@@ -287,8 +287,7 @@ class TestMetricsSchema:
 
         from repro.serve.prefork import PreforkServer
 
-        server = PreforkServer(port=0, workers=2, watch=False,
-                               rebuild_mode="inline", quiet=True,
+        server = PreforkServer(port=0, workers=2, watch=False, quiet=True,
                                cache_dir=str(tmp_path / "cache"),
                                tenants="default")
         server.start()

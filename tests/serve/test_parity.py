@@ -97,8 +97,7 @@ def live_server(request, app):
         thread.join(timeout=5.0)
         server.server_close()
     else:
-        fleet = PreforkServer(port=0, workers=2, watch=False,
-                              rebuild_mode="inline", quiet=True)
+        fleet = PreforkServer(port=0, workers=2, watch=False, quiet=True)
         fleet.start()
         assert fleet.wait_ready(timeout_s=60.0), "fleet never became ready"
         yield request.param, fleet.base_url

@@ -60,8 +60,7 @@ def wait_until(predicate, timeout_s: float = 30.0, interval_s: float = 0.05,
 @pytest.fixture(scope="module")
 def fleet():
     """A module-wide 2-process fleet over the packaged corpus."""
-    server = PreforkServer(port=0, workers=WORKERS, watch=False,
-                           rebuild_mode="inline", quiet=True)
+    server = PreforkServer(port=0, workers=WORKERS, watch=False, quiet=True)
     server.start()
     assert server.wait_ready(timeout_s=60.0), "fleet never became ready"
     yield server
@@ -132,8 +131,7 @@ class TestFleetServing:
 
 class TestLifecycle:
     def test_crash_is_detected_respawned_and_readyz_flips(self, tmp_path):
-        server = PreforkServer(port=0, workers=2, watch=False,
-                               rebuild_mode="inline", quiet=True,
+        server = PreforkServer(port=0, workers=2, watch=False, quiet=True,
                                respawn_backoff_s=1.0,
                                monitor_interval_s=0.02)
         server.start()
@@ -165,8 +163,7 @@ class TestLifecycle:
             server.stop()
 
     def test_graceful_stop_drains_and_exits_cleanly(self):
-        server = PreforkServer(port=0, workers=2, watch=False,
-                               rebuild_mode="inline", quiet=True)
+        server = PreforkServer(port=0, workers=2, watch=False, quiet=True)
         server.start()
         assert server.wait_ready(timeout_s=60.0)
         assert http_get(server.base_url, "/")[0] == 200
@@ -177,8 +174,7 @@ class TestLifecycle:
             urllib.request.urlopen(base + "/", timeout=2.0)
 
     def test_single_worker_fleet_is_valid(self):
-        server = PreforkServer(port=0, workers=1, watch=False,
-                               rebuild_mode="inline", quiet=True)
+        server = PreforkServer(port=0, workers=1, watch=False, quiet=True)
         server.start()
         try:
             assert server.wait_ready(timeout_s=60.0)
@@ -195,22 +191,27 @@ class TestLifecycle:
 
 class TestGenerationCoordination:
     def test_edit_in_one_worker_swaps_every_process(self, tmp_path):
-        self._assert_poke_swaps_every_process(tmp_path, "inline")
+        # Poke worker 0: its rebuild must publish the generation to the
+        # board and poke worker 1 into re-scanning.
+        self._assert_poke_swaps_every_process(tmp_path, poked=0)
 
     def test_poke_wakes_the_background_rebuild_thread(self, tmp_path):
-        # Requests never wake a background rebuild thread, so in this
-        # mode the control-socket pokes are all that rebuild.
-        self._assert_poke_swaps_every_process(tmp_path, "background")
+        # Requests never wake the rebuild thread: an edited corpus stays
+        # unrebuilt across a request until worker 1 is poked, and the swap
+        # then propagates back to worker 0.
+        self._assert_poke_swaps_every_process(tmp_path, poked=1,
+                                              request_first=True)
 
     @staticmethod
-    def _assert_poke_swaps_every_process(tmp_path, rebuild_mode):
-        # With watch off nothing polls: only the control-socket pokes
-        # (worker 0's from the test, worker 1's from worker 0) rebuild.
+    def _assert_poke_swaps_every_process(tmp_path, poked,
+                                         request_first=False):
+        # With watch off nothing polls: only the control-socket pokes (the
+        # test's to the poked worker, then that worker's to its peer)
+        # wake each worker's rebuild thread.
         content = tmp_path / "content"
         shutil.copytree(corpus_dir(), content)
         server = PreforkServer(port=0, workers=2, content_dir=str(content),
-                               watch=False, rebuild_mode=rebuild_mode,
-                               quiet=True)
+                               watch=False, quiet=True)
         server.start()
         try:
             assert server.wait_ready(timeout_s=60.0)
@@ -221,9 +222,13 @@ class TestGenerationCoordination:
             page = content / "gardeners.md"
             page.write_text(page.read_text(encoding="utf-8")
                             + "\nPrefork swap test.\n", encoding="utf-8")
-            # Poke exactly one worker: the rebuild there must publish the
-            # generation to the board and poke its peer into re-scanning.
-            assert server.control(0, "poke")["ok"] is True
+            if request_first:
+                for _ in range(4):
+                    assert http_get(server.base_url, "/")[0] == 200
+                time.sleep(0.3)
+                assert [server.control(i, "ready")["generation"]
+                        for i in range(2)] == [initial[0], initial[1]]
+            assert server.control(poked, "poke")["ok"] is True
 
             def converged():
                 gens = [(server.control(i, "ready") or {}).get("generation")
@@ -236,7 +241,7 @@ class TestGenerationCoordination:
             board = server.board.read()
             assert board is not None
             assert board["generation"] == \
-                server.control(1, "ready")["generation"]
+                server.control(1 - poked, "ready")["generation"]
         finally:
             server.stop()
 

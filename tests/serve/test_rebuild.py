@@ -75,7 +75,7 @@ class TestOneScanPerGeneration:
 
     def test_refresh_that_finds_a_change_scans_once(self, content, stats):
         files = sorted(p.name for p in content.glob("*.md"))
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         assert sorted(stats) == files
         stats.clear()
         touch_append(content / "gardeners.md", "\nOne more note.\n")
@@ -90,11 +90,11 @@ class TestOneScanPerGeneration:
 
 class TestRebuildManager:
     def test_no_change_is_noop(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         assert manager.refresh() is None
 
     def test_body_edit_dirties_only_that_page(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         touch_append(content / "gardeners.md", "\nAn extra teaching note.\n")
         result = manager.refresh()
         assert result is not None and result.ok
@@ -102,7 +102,7 @@ class TestRebuildManager:
         assert result.dirty_urls == ["/activities/gardeners/"]
 
     def test_membership_edit_dirties_term_pages(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         path = content / "findsmallestcard.md"
         text = path.read_text(encoding="utf-8")
         # Drop the activity's "touch" sense: its page AND the senses term
@@ -117,7 +117,7 @@ class TestRebuildManager:
         assert "/activities/diningphilosophers/" not in result.dirty_urls
 
     def test_deleted_page_is_dirty(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         (content / "gardeners.md").unlink()
         result = manager.refresh()
         assert result is not None and result.ok
@@ -126,7 +126,7 @@ class TestRebuildManager:
         assert "gardeners" not in manager.state.catalog
 
     def test_broken_edit_keeps_old_generation(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         old_state = manager.state
         (content / "gardeners.md").write_text("---\nbroken: [\n")
         result = manager.refresh()
@@ -139,21 +139,12 @@ class TestRebuildManager:
         assert fixed is not None and fixed.ok
         assert manager.last_error is None
 
-    def test_throttle(self, content):
-        now = [0.0]
-        manager = RebuildManager(content, min_interval_s=10.0,
-                                 clock=lambda: now[0])
-        touch_append(content / "gardeners.md", "\nExtra.\n")
-        assert manager.maybe_refresh() is None       # within interval
-        now[0] = 11.0
-        assert manager.maybe_refresh() is not None
-
 
 class TestIncrementalStaticBuild:
     """The acceptance-criterion path: BuildStats proves minimal re-rendering."""
 
     def test_one_edit_rerenders_one_page(self, content, tmp_path):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         out = tmp_path / "site"
         full = manager.state.site.build(out)
         assert full.total_files == 170
@@ -168,7 +159,7 @@ class TestIncrementalStaticBuild:
         assert stats.total_skipped == 169
 
     def test_membership_edit_rerenders_affected_terms(self, content, tmp_path):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         out = tmp_path / "site"
         manager.state.site.build(out)
 
@@ -185,13 +176,14 @@ class TestIncrementalStaticBuild:
 
 class TestAppIntegration:
     def test_edit_invalidates_only_dirty_urls(self, content):
-        app = create_app(content_dir=content, watch=True, watch_interval_s=0.0)
+        app = create_app(content_dir=content, watch=False)
         assert isinstance(app, ServeApp)
         first = call_app(app, "/activities/gardeners/")
         call_app(app, "/activities/diningphilosophers/")
         call_app(app, "/activities/diningphilosophers/")  # now cached+hit
 
         touch_append(content / "gardeners.md", "\nAn extra teaching note.\n")
+        assert app.background.run_once().ok
         edited = call_app(app, "/activities/gardeners/")
         assert edited.headers["X-Cache"] == "miss"       # evicted and re-rendered
         assert edited.etag != first.etag
@@ -199,17 +191,76 @@ class TestAppIntegration:
         assert untouched.headers["X-Cache"] == "hit"     # survived the rebuild
 
     def test_stale_etag_no_longer_revalidates(self, content):
-        app = create_app(content_dir=content, watch=True, watch_interval_s=0.0)
+        app = create_app(content_dir=content, watch=False)
         first = call_app(app, "/activities/gardeners/")
         touch_append(content / "gardeners.md", "\nMore.\n")
+        app.background.run_once()
         response = call_app(app, "/activities/gardeners/",
                             headers={"If-None-Match": first.etag})
         assert response.status == 200                    # content changed
         assert response.etag != first.etag
 
 
+class TestOnePipeline:
+    """Every app refreshes through its one BackgroundRebuilder, and its
+    thread runs only when something can wake it."""
+
+    def test_unwatched_app_has_a_rebuilder_and_no_thread(self, content):
+        app = create_app(content_dir=content, watch=False)
+        try:
+            assert app.background is not None
+            assert not app.background.running
+        finally:
+            app.close()
+
+    def test_watched_app_runs_the_thread_until_close(self, content):
+        app = create_app(content_dir=content, watch=True,
+                         watch_interval_s=0.2)
+        thread = app.background._thread
+        assert app.background.running and thread.is_alive()
+        app.close()
+        assert not app.background.running
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("watch", [False, True])
+    def test_closed_app_is_freed_without_a_cyclic_collection(self, content,
+                                                             watch):
+        import gc
+        import weakref
+
+        app = create_app(content_dir=content, watch=watch)
+        app.close()
+        alive = weakref.ref(app)
+        gc.disable()
+        try:
+            del app
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_unwatched_app_reports_a_closed_breaker(self, content):
+        import json as _json
+
+        app = create_app(content_dir=content, watch=False)
+        try:
+            ready = _json.loads(call_app(app, "/readyz").body)
+            assert ready["breaker"] == "closed" and ready["ready"]
+            metrics = _json.loads(call_app(app, "/api/metrics").body)
+            thread = metrics["resilience"]["rebuild_thread"]
+            assert thread["running"] is False
+            assert thread["breaker"]["state"] == "closed"
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize("mode", ["inline", "per-request"])
+    def test_only_the_background_rebuild_mode_is_accepted(self, content,
+                                                          mode):
+        with pytest.raises(ValueError, match="rebuild_mode"):
+            create_app(content_dir=content, watch=False, rebuild_mode=mode)
+
+
 class TestBackgroundPolling:
-    """In background mode the rebuild thread is the only thing that
+    """With ``watch=True`` the rebuild thread is the only thing that
     starts a scan, at most once per watch interval: requests never wake
     it, however many there are."""
 
@@ -230,8 +281,8 @@ class TestBackgroundPolling:
         return calls
 
     def make_app(self, content):
-        return create_app(content_dir=content, rebuild_mode="background",
-                          watch=True, watch_interval_s=self.INTERVAL_S)
+        return create_app(content_dir=content, watch=True,
+                          watch_interval_s=self.INTERVAL_S)
 
     def test_steady_traffic_scans_once_per_interval(self, content, scans):
         app = self.make_app(content)
@@ -273,7 +324,7 @@ class TestBackgroundPolling:
 
 class TestIncrementalSearchPatch:
     def test_refresh_patches_instead_of_rebuilding(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         old_index = manager.state.search
         touch_append(content / "gardeners.md",
                      "\nA sentence about xylophones.\n")
@@ -285,7 +336,7 @@ class TestIncrementalSearchPatch:
     def test_patched_index_matches_fresh_index(self, content):
         from repro.sitegen.search import SearchIndex
 
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         touch_append(content / "gardeners.md",
                      "\nA sentence about xylophones.\n")
         manager.refresh()
@@ -300,7 +351,7 @@ class TestIncrementalSearchPatch:
             ), query
 
     def test_old_generation_index_not_mutated(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         old_index = manager.state.search
         assert old_index.search("xylophones") == []
         touch_append(content / "gardeners.md",
@@ -310,7 +361,7 @@ class TestIncrementalSearchPatch:
         assert manager.state.search.search("xylophones")
 
     def test_removed_source_leaves_search(self, content):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         (content / "gardeners.md").unlink()
         result = manager.refresh()
         assert result is not None and result.ok
@@ -319,10 +370,10 @@ class TestIncrementalSearchPatch:
         assert "gardeners" not in names     # other docs may cite the word
 
     def test_search_api_reflects_patch(self, content):
-        app = create_app(content_dir=content, watch=True,
-                         watch_interval_s=0.0)
+        app = create_app(content_dir=content, watch=False)
         touch_append(content / "gardeners.md",
                      "\nA sentence about xylophones.\n")
+        app.background.run_once()
         response = call_app(app, "/api/search?q=xylophones")
         assert response.status == 200
         import json as _json
@@ -387,7 +438,7 @@ class TestIncrementalMatchesFromScratch:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_seeded_edit_script(self, content, parses, seed):
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         names = sorted(path.stem for path in content.glob("*.md"))
         random.Random(seed).shuffle(names)
         picks = iter(names)
@@ -474,7 +525,7 @@ class TestIncrementalMatchesFromScratch:
         swap in new ones that share its activities and pages; every
         render must equal a render of the same generation made after
         the threads stop."""
-        manager = RebuildManager(content, min_interval_s=0.0)
+        manager = RebuildManager(content)
         urls = ["/", "/activities/gardeners/", "/senses/touch/",
                 "/activities/findsmallestcard/"]
         seen, stop = [], threading.Event()

@@ -210,8 +210,8 @@ class TestSingleWorkerUnchanged:
 
 
 def test_rebuild_refresh_thread_safe(tmp_path):
-    """Concurrent maybe_refresh calls race on one content edit; exactly one
-    thread wins the rebuild and the rest keep serving without error."""
+    """Concurrent refresh calls race on one content edit; they serialize,
+    exactly one rebuilds it and the rest find nothing left to do."""
     import shutil
 
     from repro.activities.catalog import corpus_dir
@@ -219,7 +219,7 @@ def test_rebuild_refresh_thread_safe(tmp_path):
 
     content = tmp_path / "content"
     shutil.copytree(corpus_dir(), content)
-    manager = RebuildManager(content, min_interval_s=0.0)
+    manager = RebuildManager(content)
     path = content / "gardeners.md"
     path.write_text(path.read_text(encoding="utf-8") + "\nEdited.\n",
                     encoding="utf-8")
@@ -228,7 +228,7 @@ def test_rebuild_refresh_thread_safe(tmp_path):
     results = []
 
     def refresh():
-        results.append(manager.maybe_refresh())
+        results.append(manager.refresh())
 
     threads = [threading.Thread(target=refresh) for _ in range(8)]
     for t in threads:
