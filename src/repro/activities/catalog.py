@@ -12,7 +12,8 @@ mtime/size), so the CLI, the site views, the analytics, and the serving
 layer all share one parsed corpus instead of re-parsing 38 Markdown
 files per construction; edits to the content directory invalidate the
 cache automatically.  Successive generations of one directory share
-the activities and pages of unchanged files (see ``previous``).
+the activities and pages of unchanged files, and the taxonomy terms no
+changed file declares (see ``previous``).
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class Catalog:
         self._activities: list[Activity] = []
         self._by_name: dict[str, Activity] = {}
         # Source file name -> (fingerprint, activity) for activities read
-        # by from_directory, and activity name -> the Page site() built;
-        # a later generation reuses both (see ``previous``).
+        # by from_directory, and the last Site site() built; a later
+        # generation reuses both (see ``previous``).
         self._sources: dict[str, tuple[tuple, Activity]] = {}
-        self._pages: dict[str, Page] = {}
+        self._site: Site | None = None
         for activity in activities:
             self.add(activity)
 
@@ -164,8 +165,7 @@ class Catalog:
         from repro.sitegen.taxonomy import DEFAULT_TAXONOMIES
 
         index = TaxonomyIndex(DEFAULT_TAXONOMIES, strategy=strategy)
-        for activity in self._activities:
-            index.add_page(_ActivityPage(activity))
+        index.add_pages(_ActivityPage(activity) for activity in self._activities)
         return index
 
     def site(self, config: SiteConfig | None = None,
@@ -176,18 +176,23 @@ class Catalog:
         :class:`Page` built for it there.  A new or reparsed activity's
         page is built from its canonical header and body directly; the
         file is not serialized and parsed a second time (see
-        :func:`_page_for`).
+        :func:`_page_for`).  The site is the :meth:`Site.successor` of
+        the last one ``previous`` built, when its config matches, and
+        otherwise of an empty site: a build from scratch is the patch in
+        which every page is new.
         """
-        site = Site(config)
+        config = config or SiteConfig()
+        prior = previous._site if previous is not None else None
+        pages = []
         for activity in self._activities:
             page = None
-            if previous is not None and \
+            if prior is not None and \
                     previous._by_name.get(activity.name) is activity:
-                page = previous._pages.get(activity.name)
-            if page is None:
-                page = _page_for(activity)
-            self._pages[activity.name] = page
-            site.add_page(page)
+                page = prior._pages_by_name.get(activity.name)
+            pages.append(page or _page_for(activity))
+        if prior is None or prior.config != config:
+            prior = Site(config)
+        self._site = site = prior.successor(pages)
         return site
 
 

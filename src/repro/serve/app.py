@@ -71,7 +71,7 @@ from urllib.parse import parse_qs
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from repro import sanitize
-from repro.serve.cache import PageCache, ShardedPageCache, make_etag
+from repro.serve.cache import PageCache, ShardedPageCache, cover, make_etag
 from repro.serve.faults import InjectedFault, parse_fault_spec
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.persist import CacheStore
@@ -96,8 +96,10 @@ __all__ = ["ServeApp", "Response", "create_app", "create_server", "run"]
 STALE_WARNING = '110 pdcunplugged "Response is stale"'
 
 #: Routes whose responses depend only on the corpus generation — safe to
-#: cache and bulk-invalidated on every rebuild.
+#: cache and bulk-invalidated on every rebuild, with their ``?`` variants
+#: and ``/`` subpaths (:func:`~repro.serve.cache.cover`).
 _CACHEABLE_API = ("/api/activities", "/api/search", "/api/coverage", "/api/gaps")
+_is_cacheable_api = cover(_CACHEABLE_API)
 
 #: Maximum classroom size accepted by ``/api/simulate`` (keeps a single
 #: request's CPU bounded).
@@ -207,9 +209,7 @@ class ServeApp:
         task = self.state.plan_by_url.get(path)
         if task is not None:
             return task.signature
-        base = path.partition("?")[0]
-        if base in _CACHEABLE_API or any(
-                base.startswith(prefix + "/") for prefix in _CACHEABLE_API):
+        if _is_cacheable_api(path):
             return self.state.corpus_signature
         return None
 
@@ -349,8 +349,7 @@ class ServeApp:
         """Account a successful rebuild and evict exactly its dirty URLs."""
         self.metrics.record_rebuild(len(result.dirty_urls))
         if self.cache is not None:
-            self.cache.invalidate(result.dirty_urls)
-            self.cache.invalidate(_CACHEABLE_API)
+            self.cache.invalidate([*result.dirty_urls, *_CACHEABLE_API])
         if self.fleet is not None:
             # Publish the new generation to the board and poke peers so
             # every process in the fleet swaps without a restart.

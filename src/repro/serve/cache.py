@@ -6,7 +6,8 @@ Every cached body is addressed by the strong ETag derived from its bytes
 ``304 Not Modified`` without touching the renderer, and two caches holding
 the same bytes always agree on the validator.  Eviction is LRU over a
 capacity in entries; invalidation is per-path (the incremental rebuilder
-evicts exactly the URLs whose render-plan signature changed).
+evicts exactly the URLs whose render-plan signature changed), one walk
+over the keys for any number of paths (see :func:`cover`).
 
 Admission: a miss fill (``put(..., gated=True)``) of a key holding a
 ``?`` (``/api/search?q=…``) is stored only on that key's second miss.
@@ -39,12 +40,12 @@ import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro import sanitize
 
 __all__ = ["CacheEntry", "PageCache", "ShardedPageCache", "checksum",
-           "make_etag"]
+           "cover", "make_etag"]
 
 
 def make_etag(body: bytes) -> str:
@@ -59,6 +60,21 @@ def checksum(data: bytes) -> str:
     disk (the sweep plane's result records, :mod:`repro.sweep.store`).
     """
     return hashlib.sha256(data).hexdigest()[:24]
+
+
+def cover(paths: Iterable[str]) -> Callable[[str], bool]:
+    """The keys ``paths`` covers: each path, its ``?`` variants and,
+    unless it ends in ``/``, its ``/`` subpaths.
+
+    A page URL ``/a/`` covers ``/a/?x`` but neither ``/ab/`` nor
+    ``/a/b/``; ``/api/coverage`` covers ``/api/coverage/cs2013``.  A
+    test is one set lookup and one ``startswith`` over all the paths at
+    once.
+    """
+    exact = frozenset(paths)
+    variants = tuple(path + sep for path in exact
+                     for sep in ("?" if path.endswith("/") else "?/"))
+    return lambda key: key in exact or key.startswith(variants)
 
 
 def shard_for(path: str, shards: int) -> int:
@@ -160,19 +176,17 @@ class PageCache:
         return entry
 
     def invalidate(self, paths: Iterable[str]) -> int:
-        """Drop the given paths (and any query-string variants of them)."""
-        dropped = 0
+        """Drop every key ``paths`` :func:`cover` s, in one walk over the
+        keys; returns (and counts) the keys dropped."""
+        return self._drop(cover(paths))
+
+    def _drop(self, covered: Callable[[str], bool]) -> int:
         with self._locked():
-            for path in paths:
-                victims = [
-                    key for key in self._entries
-                    if key == path or key.startswith(path + "?")
-                ]
-                for key in victims:
-                    del self._entries[key]
-                    dropped += 1
-            self.invalidations += dropped
-        return dropped
+            victims = [key for key in self._entries if covered(key)]
+            for key in victims:
+                del self._entries[key]
+            self.invalidations += len(victims)
+        return len(victims)
 
     def clear(self) -> None:
         with self._locked():
@@ -247,8 +261,8 @@ class ShardedPageCache:
         return self._shard(path).put(path, body, content_type, gated=gated)
 
     def invalidate(self, paths: Iterable[str]) -> int:
-        paths = list(paths)
-        return sum(shard.invalidate(paths) for shard in self._shards)
+        covered = cover(paths)
+        return sum(shard._drop(covered) for shard in self._shards)
 
     def clear(self) -> None:
         for shard in self._shards:

@@ -5,25 +5,40 @@ server needs: the parsed catalog, the renderable :class:`~repro.sitegen.site.Sit
 the search index, and the render plan keyed by URL.  :class:`RebuildManager`
 watches the content directory (cheap mtime/size fingerprint) and, when a
 source file changes, builds the *next* generation and diffs the two
-render plans' signatures — the result names exactly the URLs whose rendered
+render plans' signatures — the result names every URL whose rendered
 bytes changed, which is what the page cache evicts.  Unchanged pages keep
 their signatures, so a subsequent ``site.build(out, incremental=True)``
 (the static-export path) re-renders only the dirty files.
 
-Incremental pieces carried across generations:
+Incremental pieces carried across generations, so a refresh costs what
+the edit touches rather than what the corpus holds:
 
 * parsed activities — :meth:`~repro.activities.catalog.Catalog.from_directory`
   reparses only the files whose ``(name, mtime_ns, size)`` fingerprint
   moved and reuses the live generation's :class:`Activity` for the rest,
 * pages — :meth:`~repro.activities.catalog.Catalog.site` reuses the live
   generation's :class:`~repro.sitegen.site.Page` for every reused
-  activity (neither is ever mutated, so sharing them is safe; each
-  generation still gets its own ``Site``, taxonomy index and plan),
+  activity (neither is ever mutated, so sharing them is safe),
+* taxonomy terms — the new ``Site`` is the
+  :meth:`~repro.sitegen.site.Site.successor` of the live one: only the
+  terms a changed page declares, before or after the edit, are rebuilt,
+  and every other :class:`~repro.sitegen.taxonomy.Term` is shared (and,
+  like a page, never mutated again),
+* plan signatures — memoized on the shared pages and terms (a term's is
+  the digest of its ordered members); a view's signature hashes the
+  digests of the terms it reads, and the view itself is built only when
+  a request first renders it,
 * build signatures (so a static export after a refresh re-renders only
   dirty files),
 * the search index — patched via
   :meth:`~repro.sitegen.search.SearchIndex.patched_from_catalog` for just
-  the changed source documents instead of re-tokenizing the corpus.
+  the changed source documents; the new index shares every posting set
+  and copies only those the changed documents touch.
+
+The page cache then evicts the dirty URLs in one walk over its keys
+(:func:`~repro.serve.cache.cover`).  Every generation equals the one a
+build from scratch makes of the same files, and a URL whose signature
+did not move renders the same bytes in both generations.
 
 Refreshing is safe under the multi-worker server: the refresh mutex
 ensures exactly one rebuild of a given edit while requests keep serving
@@ -48,6 +63,7 @@ corpus on every poll.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import time
@@ -81,9 +97,13 @@ class ServerState:
     def from_content_dir(cls, content_dir: str | Path) -> "ServerState":
         return cls(Catalog.from_directory(content_dir))
 
-    @property
+    @functools.cached_property
     def signatures(self) -> dict[str, str]:
-        """URL -> render-plan signature for this generation."""
+        """URL -> render-plan signature for this generation.
+
+        Built once: a refresh diffs the live generation's map, which its
+        own refresh already built, against the new one's.  Read only.
+        """
         return {task.url: task.signature for task in self.plan}
 
     @property
@@ -192,10 +212,6 @@ class RebuildManager:
                 for url in set(old_sigs) | set(new_sigs)
                 if old_sigs.get(url) != new_sigs.get(url)
             )
-            # Unchanged pages carry their build signatures forward so a
-            # static incremental export after this refresh only re-renders
-            # dirty files.
-            new_state.site.seed_signatures(self.state.site.built_signatures)
             self.state = new_state
             self.last_error = None
             result.generation = new_state.corpus_signature

@@ -17,9 +17,10 @@ The index is *patchable*: documents can be removed and re-added, and
 :meth:`SearchIndex.patched_from_catalog` produces a new index from an old
 one by re-tokenizing only a dirty subset — the serving layer's rebuild
 path uses it so a one-file content edit patches one document's postings
-instead of re-indexing the whole corpus.  The old index is never mutated
-(copy-on-patch), so in-flight queries against the previous generation
-stay consistent.
+instead of re-indexing the whole corpus.  The old index is never mutated:
+the new one shares every posting set and copies a set only before it
+first changes it (copy-on-write), so in-flight queries against the
+previous generation stay consistent and a patch costs what it touches.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class SearchIndex:
     def __init__(self):
         self._docs: dict[str, _DocEntry] = {}
         self._postings: dict[str, set[str]] = {}
+        # Tokens whose posting set only this index holds; ``None`` while
+        # it shares none (it was never copied, nor copied from).
+        self._owned: set[str] | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -108,7 +112,13 @@ class SearchIndex:
         self._docs[name] = entry
         for counter in fields.values():
             for token in counter:
-                self._postings.setdefault(token, set()).add(name)
+                names = self._writable(token)
+                if names is None:
+                    self._postings[token] = {name}
+                    if self._owned is not None:
+                        self._owned.add(token)
+                else:
+                    names.add(name)
 
     def remove_document(self, name: str) -> bool:
         """Drop ``name`` and its postings; ``False`` when it was absent."""
@@ -117,13 +127,22 @@ class SearchIndex:
             return False
         for counter in entry.field_counts.values():
             for token in counter:
-                names = self._postings.get(token)
+                names = self._writable(token)
                 if names is None:
                     continue
                 names.discard(name)
                 if not names:
                     del self._postings[token]
         return True
+
+    def _writable(self, token: str) -> set[str] | None:
+        """``token``'s posting set, copied first if it may be shared."""
+        names = self._postings.get(token)
+        owned = self._owned
+        if names is not None and owned is not None and token not in owned:
+            names = self._postings[token] = set(names)
+            owned.add(token)
+        return names
 
     def update_document(self, name: str, title: str, body: str,
                         tags: list[str] | None = None) -> None:
@@ -147,15 +166,17 @@ class SearchIndex:
         return index
 
     def copy(self) -> "SearchIndex":
-        """Independent copy (documents are shared, postings are not).
+        """Independent copy that shares documents and posting sets.
 
         ``_DocEntry`` instances are treated as immutable after insertion,
-        so sharing them is safe; posting sets are mutated by patching and
-        therefore deep-copied.
+        so sharing them is safe.  Posting sets are copy-on-write: from
+        now on, each of the two indexes copies a set before it first
+        changes it, so neither ever sees the other's edits.
         """
         clone = type(self)()
         clone._docs = dict(self._docs)
-        clone._postings = {token: set(names) for token, names in self._postings.items()}
+        clone._postings = dict(self._postings)
+        self._owned, clone._owned = set(), set()
         return clone
 
     def patched_from_catalog(self, catalog, dirty_names) -> "SearchIndex":
@@ -163,7 +184,8 @@ class SearchIndex:
 
         Every name in ``dirty_names`` is dropped from a copy of this index
         and re-added from the catalog when still present (covers edits,
-        additions, and deletions in one pass).  The result is
+        additions, and deletions in one pass); only the posting sets of
+        their tokens are copied (see :meth:`copy`).  The result is
         token-for-token identical to ``from_catalog(catalog)`` as long as
         ``dirty_names`` covers every changed document.
         """

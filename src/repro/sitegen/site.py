@@ -26,15 +26,21 @@ signature matches the previous build, so editing one activity re-renders
 only that page plus the listing pages whose membership or entries changed.
 The serving layer (:mod:`repro.serve`) reuses the same plan to render
 pages on demand and to invalidate exactly the dirty URLs on rebuild.
+
+:meth:`Site.successor` makes the next generation of a site for an edited
+page list.  It patches the taxonomy index for the changed pages only,
+so the new site shares every untouched term, and with it the term's
+memoized signature, with the old one.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.errors import SiteError
 from repro.sitegen import frontmatter, markdown
@@ -45,6 +51,7 @@ from repro.sitegen.taxonomy import (
     slugify,
 )
 from repro.sitegen.templates import TemplateEnvironment
+from repro.sitegen.views import VIEWS, View
 
 __all__ = [
     "Page",
@@ -259,28 +266,69 @@ class Site:
         # rel_path -> signature as of the last build (seedable across
         # Site instances, see seed_signatures()).
         self._built_signatures: dict[str, str] = {}
+        # View name -> View, built on the view's first render.
+        self._views: dict[str, View] = {}
 
     # -- content -----------------------------------------------------------
 
     def add_page(self, page: Page) -> None:
-        if page.name in self._pages_by_name:
-            raise SiteError(f"duplicate page name {page.name!r}")
-        self._pages_by_name[page.name] = page
-        self.pages.append(page)
-        self.index.add_page(page)
+        self.add_pages([page])
+
+    def add_pages(self, pages: Iterable[Page]) -> None:
+        """Add pages, in order, and index them in one taxonomy patch."""
+        pages = list(pages)
+        by_name = dict(self._pages_by_name)
+        for page in pages:
+            if page.name in by_name:
+                raise SiteError(f"duplicate page name {page.name!r}")
+            by_name[page.name] = page
+        self.index.add_pages(pages)
+        self._pages_by_name = by_name
+        self.pages.extend(pages)
+        self._views = {}
+
+    def successor(self, pages: Iterable[Page]) -> "Site":
+        """The next generation of this site: ``pages``, in order.
+
+        The new site has this one's config and theme.  A page that is
+        the same object here is unchanged; every other page, and every
+        page of this site that is not carried over, is dirty, and only
+        the terms those declare are re-indexed (see
+        :meth:`TaxonomyIndex.patched`).  Should the unchanged pages come
+        in another order, every page is dirty.  The build signatures
+        carry over, so an incremental export of the successor re-renders
+        only the files whose signature moved.  This site is not mutated.
+        """
+        pages = list(pages)
+        by_name: dict[str, Page] = {}
+        for page in pages:
+            if by_name.setdefault(page.name, page) is not page:
+                raise SiteError(f"duplicate page name {page.name!r}")
+        old = self._pages_by_name
+        added, carried, removed, kept = [], [], [], []
+        for page in pages:
+            (carried if old.get(page.name) is page else added).append(page)
+        for page in self.pages:
+            (kept if by_name.get(page.name) is page else removed).append(page)
+        if any(a is not b for a, b in zip(carried, kept)):
+            removed, added = self.pages, pages
+        site = copy.copy(self)
+        site.pages, site._pages_by_name, site._views = pages, by_name, {}
+        site.index = self.index.patched(pages, removed, added)
+        return site
 
     def load_content(self, content_dir: str | Path) -> int:
         """Load every ``*.md`` under ``content_dir`` (one section per subdir)."""
         content_dir = Path(content_dir)
         if not content_dir.is_dir():
             raise SiteError(f"content directory {content_dir} does not exist")
-        count = 0
+        pages = []
         for path in sorted(content_dir.rglob("*.md")):
             rel = path.relative_to(content_dir)
             section = rel.parts[0] if len(rel.parts) > 1 else "activities"
-            self.add_page(Page.from_file(path, section=section))
-            count += 1
-        return count
+            pages.append(Page.from_file(path, section=section))
+        self.add_pages(pages)
+        return len(pages)
 
     def page(self, name: str) -> Page:
         try:
@@ -351,6 +399,13 @@ class Site:
         content = self.env.render("list", {"heading": "All Activities", "entries": entries})
         return self._wrap("Home", content)
 
+    def view(self, name: str) -> View:
+        """One §II-C browsing view, built on first use and kept."""
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = VIEWS[name][0](self.index)
+        return view
+
     def render_view(self, view) -> str:
         """Render one browsing view (paper §II-C) as a page.
 
@@ -389,7 +444,8 @@ class Site:
         """Render the four §II-C views under ``<output>/views/``."""
         output = Path(output_dir)
         count = 0
-        for view in self._views():
+        for name in VIEWS:
+            view = self.view(name)
             view_dir = output / "views" / slugify(view.name)
             view_dir.mkdir(parents=True, exist_ok=True)
             (view_dir / "index.html").write_text(
@@ -404,11 +460,16 @@ class Site:
         """Enumerate every output file with its content signature.
 
         Signatures are cheap (no rendering happens here) and cover every
-        input of the file: the page's own source for singles, member
-        titles/URLs for listing pages, term counts for taxonomy indexes,
-        and the full group structure for views — plus the theme/config
-        fingerprint.  Two plans agreeing on a signature are guaranteed to
-        render byte-identical files.
+        input of the file: the page's own source for singles, term
+        counts for taxonomy indexes, and for a term listing the digest of
+        its ordered members' names, titles and URLs.  A view's signature
+        hashes the digests of every term in the taxonomies it reads
+        (:data:`~repro.sitegen.views.VIEWS`); the view itself is built
+        only when its task renders.  Every signature also covers the
+        theme/config fingerprint, and page, term and taxonomy signatures
+        are memoized on the objects a later generation shares.  Two
+        plans agreeing on a signature are guaranteed to render
+        byte-identical files.
         """
         g = self._global_fingerprint
         tasks: list[RenderTask] = []
@@ -432,45 +493,35 @@ class Site:
 
         for taxonomy in self.index.taxonomies():
             tax_slug = slugify(taxonomy.name)
-            terms = [(t.name, t.url, t.count) for t in taxonomy.sorted_terms()]
             tasks.append(
                 RenderTask(
                     f"{tax_slug}/index.html",
                     "taxonomy",
-                    _hash(g, "taxonomy", taxonomy.name, terms),
+                    self._taxonomy_signature(taxonomy),
                     lambda n=taxonomy.name: self.render_taxonomy_index(n),
                 )
             )
             for term in taxonomy.terms.values():
-                members = sorted(
-                    ((p.title, p.url) for p in term.pages),
-                    key=lambda e: e[0].lower(),
-                )
                 tasks.append(
                     RenderTask(
                         f"{tax_slug}/{term.slug}/index.html",
                         "term",
-                        _hash(g, "term", taxonomy.name, term.name, members),
+                        self._term_signature(term),
                         lambda tx=taxonomy.name, tm=term.name:
                             self.render_term_page(tx, tm),
                     )
                 )
 
         if "view" in self.env:
-            for view in self._views():
-                structure = [
-                    (grp.term,
-                     [(e.title, e.url) for e in grp.entries],
-                     [(sg.term, [(e.title, e.url) for e in sg.entries])
-                      for sg in grp.subgroups])
-                    for grp in view.groups
-                ]
+            for name, (_build, read) in VIEWS.items():
+                digests = [self._term_signature(term) for tax in read
+                           for term in self.index.taxonomy(tax).terms.values()]
                 tasks.append(
                     RenderTask(
-                        f"views/{slugify(view.name)}/index.html",
+                        f"views/{slugify(name)}/index.html",
                         "view",
-                        _hash(g, "view", view.name, structure),
-                        lambda v=view: self.render_view(v),
+                        _hash(g, "view", name, digests),
+                        lambda n=name: self.render_view(self.view(n)),
                     )
                 )
         return tasks
@@ -492,17 +543,35 @@ class Site:
         page._plan_signature = (key, signature)
         return signature
 
-    def _views(self) -> list:
-        """The four §II-C browsing views over the current index."""
-        from repro.sitegen.views import (
-            accessibility_view,
-            courses_view,
-            cs2013_view,
-            tcpp_view,
-        )
+    def _term_signature(self, term) -> str:
+        """A term listing's signature: the digest of its ordered members.
 
-        return [cs2013_view(self.index), tcpp_view(self.index),
-                courses_view(self.index), accessibility_view(self.index)]
+        It covers the ``(name, title, url)`` of every member in page
+        order and is memoized on the :class:`Term`, keyed like
+        :meth:`_page_signature`; a Term a later generation shares keeps
+        it.  View signatures hash these digests too.
+        """
+        key = (self._global_fingerprint, self.config)
+        memo = term._digest
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        digest = _hash(self._global_fingerprint, "term", term.taxonomy,
+                       term.name, [(p.name, p.title, p.url) for p in term.pages])
+        term._digest = (key, digest)
+        return digest
+
+    def _taxonomy_signature(self, taxonomy) -> str:
+        """A taxonomy listing's signature over its terms' names, URLs and
+        counts, memoized on the :class:`Taxonomy` like a term's."""
+        key = (self._global_fingerprint, self.config)
+        memo = taxonomy._signature
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        terms = [(t.name, t.url, t.count) for t in taxonomy.sorted_terms()]
+        signature = _hash(self._global_fingerprint, "taxonomy", taxonomy.name,
+                          terms)
+        taxonomy._signature = (key, signature)
+        return signature
 
     @property
     def built_signatures(self) -> dict[str, str]:

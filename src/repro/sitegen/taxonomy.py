@@ -9,14 +9,21 @@ groups pages by the terms they declare, producing one listing page per term.
 
 This module reimplements that machinery: :class:`TaxonomyIndex` ingests
 pages (anything exposing ``name`` and ``params``) and builds an inverted
-index ``taxonomy -> term -> [pages]`` with deterministic ordering, term
-slugs, and per-term weights.  Two indexing strategies are provided (eager
-inverted index vs lazy per-query scan) because the site-build benchmark
-ablates them.
+index ``taxonomy -> term -> [pages]`` with deterministic ordering (terms
+by name, members in page order), term slugs, and per-term weights.  Two
+indexing strategies are provided (eager inverted index vs lazy per-query
+scan) because the site-build benchmark ablates them.
+
+Indexing is a patch: :meth:`TaxonomyIndex.patched` re-indexes only the
+terms that the pages leaving or joining declare, and a build from
+scratch is the same patch with every page joining.  Terms and taxonomies
+are never mutated once built, so a patched index shares every untouched
+:class:`Term` with the index it came from.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -100,11 +107,18 @@ DEFAULT_TAXONOMIES: tuple[TaxonomyConfig, ...] = (
 
 @dataclass
 class Term:
-    """One term within a taxonomy, with the pages that declare it."""
+    """One term within a taxonomy, with the pages that declare it.
+
+    Never mutated once built: a later index shares the Term while no
+    page joining or leaving declares it, and its memo stays valid.
+    """
 
     taxonomy: str
     name: str
     pages: list = field(default_factory=list)
+    # Member digest, filled on first use (see Site._term_signature).
+    _digest: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def slug(self) -> str:
@@ -121,10 +135,17 @@ class Term:
 
 @dataclass
 class Taxonomy:
-    """A taxonomy axis with all of its terms."""
+    """A taxonomy axis with all of its terms, ordered by name.
+
+    Never mutated once built, like its :class:`Term` objects.
+    """
 
     config: TaxonomyConfig
     terms: dict[str, Term] = field(default_factory=dict)
+    # Listing-page signature, filled on first use (see
+    # Site._taxonomy_signature).
+    _signature: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def name(self) -> str:
@@ -142,6 +163,38 @@ class Taxonomy:
 
     def histogram(self) -> Counter:
         return Counter({name: term.count for name, term in self.terms.items()})
+
+    def patched(self, names, gone: set[int], joined: dict[str, list],
+                order) -> "Taxonomy":
+        """A new taxonomy whose terms in ``names`` are rebuilt.
+
+        A rebuilt term keeps its members whose ``id`` is not in ``gone``
+        and gains ``joined[name]``; ``order`` sorts a mix of both into
+        page order.  A term left without members is dropped; every term
+        not in ``names`` is shared, not copied.  When every term keeps
+        its count, the listing signature (names, URLs and counts) is
+        carried over.
+        """
+        terms = dict(self.terms)
+        grew = reshaped = False
+        for name in names:
+            old = terms.get(name)
+            kept = [p for p in old.pages if id(p) not in gone] if old else []
+            new = joined.get(name, [])
+            members = order(kept + new) if kept and new else kept or new
+            if members:
+                grew |= old is None
+                reshaped |= old is None or len(members) != old.count
+                terms[name] = Term(self.name, name, members)
+            elif old is not None:
+                reshaped = True
+                del terms[name]
+        if grew:
+            terms = dict(sorted(terms.items()))
+        taxonomy = Taxonomy(self.config, terms)
+        if not reshaped:
+            taxonomy._signature = self._signature
+        return taxonomy
 
 
 class TaxonomyIndex:
@@ -176,18 +229,60 @@ class TaxonomyIndex:
         Term lists in page params may be a single string or a list of
         strings; Hugo accepts both and so do we.
         """
-        self._pages.append(page)
-        if self.strategy != "indexed":
-            return
-        for tax_name, terms in self._page_terms(page):
-            taxonomy = self._taxonomies[tax_name]
-            for term_name in terms:
-                term = taxonomy.terms.setdefault(term_name, Term(tax_name, term_name))
-                term.pages.append(page)
+        self.add_pages([page])
 
     def add_pages(self, pages: Iterable[PageLike]) -> None:
+        """Register pages, in order, in one patch of the index."""
+        pages = list(pages)
+        self._reindex(self._pages + pages, (), pages)
+
+    def patched(self, pages: Sequence[PageLike], removed: Sequence[PageLike],
+                added: Sequence[PageLike]) -> "TaxonomyIndex":
+        """A new index over ``pages``; this one is left as it is.
+
+        ``removed`` are this index's pages that are not in ``pages``
+        (a changed page's old object among them), ``added`` the pages of
+        ``pages`` that are not in this index, in page order.  Only the
+        terms they declare are rebuilt; the new index shares every other
+        :class:`Term` with this one.
+        """
+        index = copy.copy(self)
+        index._reindex(list(pages), removed, added)
+        return index
+
+    def _reindex(self, pages: list[PageLike], removed: Sequence[PageLike],
+                 added: Sequence[PageLike]) -> None:
+        """The one indexing routine (see :meth:`patched`): a build from
+        scratch is the patch in which every page is added."""
+        if self.strategy == "indexed":
+            joined = self._memberships(added)
+            touched = {tax: set(terms) for tax, terms in joined.items()}
+            for tax, terms in self._memberships(removed).items():
+                touched.setdefault(tax, set()).update(terms)
+            gone = {id(page) for page in removed}
+            position: dict[int, int] = {}
+
+            def order(members: list) -> list:
+                if not position:
+                    position.update((id(p), i) for i, p in enumerate(pages))
+                return sorted(members, key=lambda p: position[id(p)])
+
+            taxonomies = dict(self._taxonomies)
+            for tax, names in touched.items():
+                taxonomies[tax] = taxonomies[tax].patched(
+                    names, gone, joined.get(tax, {}), order)
+            self._taxonomies = taxonomies
+        self._pages = pages
+
+    def _memberships(self, pages: Iterable[PageLike]) -> dict[str, dict[str, list]]:
+        """taxonomy -> term -> the given pages declaring it, in order."""
+        out: dict[str, dict[str, list]] = {}
         for page in pages:
-            self.add_page(page)
+            for tax_name, terms in self._page_terms(page):
+                by_term = out.setdefault(tax_name, {})
+                for term_name in terms:
+                    by_term.setdefault(term_name, []).append(page)
+        return out
 
     def _page_terms(self, page: PageLike) -> Iterable[tuple[str, list[str]]]:
         for tax_name in self.configs:
@@ -228,15 +323,9 @@ class TaxonomyIndex:
     def _scan_taxonomy(self, name: str) -> Taxonomy:
         if name not in self.configs:
             raise SiteError(f"unknown taxonomy {name!r}")
-        taxonomy = Taxonomy(self.configs[name])
-        for page in self._pages:
-            for tax_name, terms in self._page_terms(page):
-                if tax_name != name:
-                    continue
-                for term_name in terms:
-                    term = taxonomy.terms.setdefault(term_name, Term(name, term_name))
-                    term.pages.append(page)
-        return taxonomy
+        joined = self._memberships(self._pages).get(name, {})
+        return Taxonomy(self.configs[name]).patched(joined, set(), joined,
+                                                    order=None)
 
     def taxonomies(self) -> list[Taxonomy]:
         return [self.taxonomy(name) for name in self.configs]

@@ -33,6 +33,7 @@ __all__ = [
     "tcpp_view",
     "courses_view",
     "accessibility_view",
+    "VIEWS",
 ]
 
 
@@ -160,3 +161,14 @@ def accessibility_view(index: TaxonomyIndex) -> View:
             groups.append(mg)
     groups.sort(key=lambda g: g.term)
     return View("accessibility", groups=groups)
+
+
+#: Every view, in page order: name -> (builder, the taxonomies it reads).
+#: A view's groups, entries and subgroups come from those taxonomies'
+#: terms and nothing else, which is what its plan signature hashes.
+VIEWS = {
+    "cs2013": (cs2013_view, ("cs2013", "cs2013details")),
+    "tcpp": (tcpp_view, ("tcpp", "tcppdetails")),
+    "courses": (courses_view, ("courses",)),
+    "accessibility": (accessibility_view, ("senses", "medium")),
+}

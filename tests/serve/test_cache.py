@@ -310,3 +310,98 @@ class TestAdmission:
         assert not errors
         assert all(key in cache for mine in keys for key in mine)
         assert all(not shard._refused for shard in cache._shards)
+
+
+# -- invalidation ------------------------------------------------------------
+
+
+def _parent_rule(key, paths):
+    """The rule before ``/`` subpaths were covered: a path drops itself
+    and its ``?`` variants."""
+    return any(key == p or key.startswith(p + "?") for p in paths)
+
+
+def _subpath(key, paths):
+    """What the one-pass rule adds: ``/`` subpaths of a path that does
+    not end in ``/`` (``/api/coverage`` -> ``/api/coverage/cs2013``)."""
+    return any(not p.endswith("/") and key.startswith(p + "/") for p in paths)
+
+
+@pytest.fixture(params=["single", "sharded"])
+def any_cache(request):
+    if request.param == "single":
+        return PageCache(capacity=64)
+    return ShardedPageCache(capacity=64, shards=4)
+
+
+class TestInvalidate:
+    """One walk over the keys drops each path, its ``?`` variants and,
+    for a path not ending in ``/``, its ``/`` subpaths; for both cache
+    shapes."""
+
+    KEYS = ("/a/", "/a/?x=1", "/ab/", "/ab/?x=1", "/a", "/a?y", "/a/b/",
+            "/api/coverage", "/api/coverage/cs2013", "/api/coverage/tcpp",
+            "/api/coverageX", "/api/search?q=a", "/api/search?q=a/b",
+            "/api/searches", "/", "/?utm=1", "//x")
+
+    def fill(self, cache):
+        for key in self.KEYS:
+            cache.put(key, key.encode())
+        assert len(cache) == len(self.KEYS)
+
+    def kept(self, cache):
+        return {key for key in self.KEYS if key in cache}
+
+    def test_bare_key_query_variants_and_subpaths(self, any_cache):
+        self.fill(any_cache)
+        assert any_cache.invalidate(["/api/coverage", "/api/search"]) == 5
+        assert self.kept(any_cache) == set(self.KEYS) - {
+            "/api/coverage", "/api/coverage/cs2013", "/api/coverage/tcpp",
+            "/api/search?q=a", "/api/search?q=a/b"}
+
+    def test_sibling_prefix_is_not_over_matched(self, any_cache):
+        self.fill(any_cache)
+        assert any_cache.invalidate(["/a/"]) == 2
+        assert "/ab/" in any_cache and "/ab/?x=1" in any_cache
+        assert "/a/b/" in any_cache          # a page URL has no subpaths
+        assert "/a" in any_cache and "/a?y" in any_cache
+        assert "/" in any_cache
+
+    def test_slashless_path_drops_its_subpaths_not_its_siblings(self,
+                                                                any_cache):
+        self.fill(any_cache)
+        assert any_cache.invalidate(["/a"]) == 5
+        assert self.kept(any_cache) == set(self.KEYS) - {
+            "/a", "/a?y", "/a/", "/a/?x=1", "/a/b/"}
+
+    def test_root_drops_only_itself_and_its_variants(self, any_cache):
+        self.fill(any_cache)
+        assert any_cache.invalidate(["/"]) == 2
+        assert self.kept(any_cache) == set(self.KEYS) - {"/", "/?utm=1"}
+
+    @pytest.mark.parametrize("paths", [
+        ["/a/", "/ab/"], ["/a", "/a/"], ["/a/", "/a/", "/a/"], [],
+        ["/missing/"], ["/api/search", "/api/search?q=a"],
+        ["/a/b/", "/", "/ab/", "/api/searches"],
+        ["/api/coverage", "/a/"]])
+    def test_drops_the_parent_rule_plus_subpaths(self, any_cache, paths):
+        """The drops, the return value and the ``invalidations`` delta
+        are the parent rule's plus the ``/`` subpaths of slash-less
+        paths: each dropped key counts once, however many paths cover
+        it.  For page URLs alone (all end in ``/``) that is exactly the
+        parent rule."""
+        self.fill(any_cache)
+        expected = {key for key in self.KEYS if _parent_rule(key, paths)
+                    or _subpath(key, paths)}
+        before = any_cache.invalidations
+        assert any_cache.invalidate(paths) == len(expected)
+        assert any_cache.invalidations - before == len(expected)
+        assert self.kept(any_cache) == set(self.KEYS) - expected
+        if all(p.endswith("/") for p in paths):
+            assert expected == {key for key in self.KEYS
+                                if _parent_rule(key, paths)}
+
+    def test_accepts_any_iterable_once(self, any_cache):
+        self.fill(any_cache)
+        assert any_cache.invalidate(iter(["/a/", "/ab/"])) == 4
+        assert any_cache.invalidations == 4

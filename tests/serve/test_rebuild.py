@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import os
 import random
 import shutil
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.activities.catalog import corpus_dir, scan_content
 from repro.activities.parser import parse_activity_file
@@ -199,6 +205,42 @@ class TestAppIntegration:
                             headers={"If-None-Match": first.etag})
         assert response.status == 200                    # content changed
         assert response.etag != first.etag
+
+    def test_coverage_tables_follow_a_rebuild(self, content):
+        """Tables I/II served from the cache before an edit are evicted
+        by its rebuild: afterwards both routes answer what a fresh app
+        answers, which is the analytics tables of the edited catalog."""
+        from repro.activities.catalog import Catalog
+        from repro.analytics import cs2013_coverage, tcpp_coverage
+
+        routes = {"/api/coverage/cs2013": cs2013_coverage,
+                  "/api/coverage/tcpp": tcpp_coverage}
+        app = create_app(content_dir=content, watch=False)
+        before = {}
+        for url in routes:
+            call_app(app, url)
+            before[url] = call_app(app, url)
+            assert before[url].headers["X-Cache"] == "hit"
+        victim = next(a for a in Catalog.from_directory(content)
+                      if a.cs2013 and a.tcpp)
+        (content / f"{victim.name}.md").unlink()
+        assert app.background.run_once().ok
+
+        fresh = create_app(content_dir=content, watch=False)
+        edited = Catalog.from_directory(content)
+        try:
+            for url, table in routes.items():
+                after = call_app(app, url)
+                assert after.body != before[url].body, url
+                assert after.body == call_app(fresh, url).body, url
+                rows = json.loads(after.body)["rows"]
+                assert [(r["term"], r["covered"], r["activities"])
+                        for r in rows] == \
+                    [(r.term, r.num_covered, r.total_activities)
+                     for r in table(edited)], url
+        finally:
+            fresh.close()
+            app.close()
 
 
 class TestOnePipeline:
@@ -401,20 +443,151 @@ def _render_all(state):
     return {task.url: task.render().encode("utf-8") for task in state.plan}
 
 
-def _assert_matches_fresh(state, content):
+def _postings(index):
+    """Everything a search answers from: each token's documents, and each
+    document's title, per-field token counts and length."""
+    return ({token: frozenset(names) for token, names in index._postings.items()},
+            {name: (doc.title, {f: dict(c) for f, c in doc.field_counts.items()},
+                    doc.length)
+             for name, doc in index._docs.items()})
+
+
+def _snapshot(state):
+    """The bytes of every URL and the full postings of one generation."""
+    return _render_all(state), _postings(state.search)
+
+
+def _assert_refresh_exact(old, before, new, content):
+    """``new``, refreshed from ``old``, is the generation a build from
+    scratch makes of ``content``.
+
+    ``before`` is ``old``'s :func:`_snapshot` from ahead of the swap:
+    ``old`` must still render and search exactly as it did (workers may
+    still serve it while the new one shares its pages, terms and posting
+    sets).  Every URL whose signature did not move renders the same
+    bytes in both generations, so the dirty URLs cover every changed
+    byte.  Returns ``new``'s snapshot.
+    """
+    assert _snapshot(old) == before
+    new.site.check()
     fresh = ServerState.from_content_dir(content)
-    assert state.catalog.names == fresh.catalog.names
-    assert state.catalog.activities == fresh.catalog.activities
-    assert state.signatures == fresh.signatures
-    assert state.corpus_signature == fresh.corpus_signature
-    assert _render_all(state) == _render_all(fresh)
+    assert new.catalog.names == fresh.catalog.names
+    assert new.catalog.activities == fresh.catalog.activities
+    assert [t.url for t in new.plan] == [t.url for t in fresh.plan]
+    assert new.signatures == fresh.signatures
+    assert new.corpus_signature == fresh.corpus_signature
+    after = _snapshot(new)
+    assert after[0] == _render_all(fresh)
+    assert after[1] == _postings(fresh.search)
     for query in QUERIES:
         assert (
             [(h.name, h.title, round(h.score, 9), h.matched_terms)
-             for h in state.search.search(query)]
+             for h in new.search.search(query)]
             == [(h.name, h.title, round(h.score, 9), h.matched_terms)
                 for h in fresh.search.search(query)]
         ), query
+    for url, signature in new.signatures.items():
+        if old.signatures.get(url) == signature:
+            assert after[0][url] == before[0][url], url
+    return after
+
+
+#: Five activities with varied terms, for the differential test.
+SMALL_CORPUS = ("diningphilosophers", "findsmallestcard", "gardeners",
+                "parallelcardsort", "rhythmclapsimd")
+
+
+class _Editor:
+    """Applies one kind of edit to one activity file of a content dir.
+
+    Each write gets a strictly newer mtime than the one before, so no
+    edit hides behind a coarse clock.  Titles and terms come from small
+    pools, so pages share titles and terms gain and lose members.
+    """
+
+    KINDS = ("body", "title", "tag-add", "tag-drop", "new", "delete",
+             "rename")
+    TITLES = ("Alpha", "beta", "Alpha", "Zeta Revised")
+    AXES = ("cs2013", "cs2013details", "tcpp", "tcppdetails", "courses",
+            "senses", "medium")
+
+    def __init__(self, content):
+        self.content = content
+        self.stamp = time.time_ns()
+        self.count = 0
+        terms = {axis: set() for axis in self.AXES}
+        for path in self.files():
+            activity = parse_activity_file(path)
+            for axis in self.AXES:
+                terms[axis].update(getattr(activity, axis))
+        self.terms = {axis: sorted(used) + [f"zz{axis}"]
+                      for axis, used in terms.items()}
+
+    def files(self):
+        return sorted(self.content.glob("*.md"))
+
+    def touch(self, path):
+        self.stamp = max(time.time_ns(), self.stamp + 1_000_000)
+        os.utime(path, ns=(self.stamp, self.stamp))
+
+    def write(self, activity):
+        self.touch(write_activity_file(activity, self.content))
+
+    def apply(self, kind, pick, choice=0):
+        """Apply ``kind`` to the ``pick``-th file (modulo the count);
+        ``choice`` picks the title, axis and term.  Returns whether the
+        content changed."""
+        files = self.files()
+        path = files[pick % len(files)]
+        activity = parse_activity_file(path)
+        self.count += 1
+        if kind == "body":
+            sections = dict(activity.sections)
+            heading = sorted(sections)[choice % len(sections)]
+            sections[heading] += f"\nA note on xylophones, take {self.count}.\n"
+            self.write(dataclasses.replace(activity, sections=sections))
+        elif kind == "title":
+            title = self.TITLES[choice % len(self.TITLES)]
+            self.write(dataclasses.replace(activity, title=title))
+        elif kind in ("tag-add", "tag-drop"):
+            axis = self.AXES[choice % len(self.AXES)]
+            have = list(getattr(activity, axis))
+            if kind == "tag-add":
+                pool = [t for t in self.terms[axis] if t not in have]
+                have.append(pool[choice % len(pool)])
+            elif have:
+                del have[choice % len(have)]
+            else:
+                return False
+            self.write(dataclasses.replace(activity, **{axis: have}))
+        elif kind == "new":
+            self.write(dataclasses.replace(
+                activity, name=f"{activity.name}n{self.count}"))
+        elif len(files) == 1:
+            return False
+        elif kind == "delete":
+            path.unlink()
+        else:
+            path.rename(self.content / f"{path.stem}r{self.count}.md")
+        return True
+
+
+def _scaled_corpus(content, copies):
+    """The packaged activities ``copies`` times over, with new slugs and
+    titles; about half the copies swap one medium term, so copies do
+    not all share the same term pages."""
+    sources = [parse_activity_file(path) for path in sorted(content.glob("*.md"))]
+    mediums = sorted({m for a in sources for m in a.medium})
+    rng = random.Random(456)
+    for k in range(1, copies):
+        for activity in sources:
+            medium = list(activity.medium)
+            if medium and rng.random() < 0.5:
+                medium[-1] = rng.choice([m for m in mediums if m not in medium])
+            write_activity_file(dataclasses.replace(
+                activity, name=f"{activity.name}c{k}",
+                title=f"{activity.title} {k}", medium=medium), content)
+    return len(sources) * copies
 
 
 class TestIncrementalMatchesFromScratch:
@@ -442,20 +615,18 @@ class TestIncrementalMatchesFromScratch:
         names = sorted(path.stem for path in content.glob("*.md"))
         random.Random(seed).shuffle(names)
         picks = iter(names)
+        snapshot = _snapshot(manager.state)
 
         def refresh_ok(expect_parses):
+            nonlocal snapshot
             old = manager.state
-            before = _render_all(old)
             del parses[:]
             result = manager.refresh()
             assert result is not None and result.ok, result and result.error
             assert len(parses) == expect_parses
-            # Workers may still be serving the old generation: sharing
-            # activities and pages must not change what it renders.
-            assert _render_all(old) == before
-            _assert_matches_fresh(manager.state, content)
+            snapshot = _assert_refresh_exact(old, snapshot, manager.state,
+                                             content)
             return result
-
         # A body edit reparses exactly the edited file.
         body = next(picks)
         touch_append(content / f"{body}.md", "\nAn extra teaching note.\n")
@@ -519,6 +690,57 @@ class TestIncrementalMatchesFromScratch:
         refresh_ok(expect_parses=2)
         assert all(manager.state.catalog.get(a.name) is not a
                    for a in from_failed)
+
+    def test_edit_kinds_on_a_456_file_corpus(self, content, monkeypatch):
+        """One edit of each kind on the corpus size ``fleet`` serves.
+
+        Markdown bodies render through a memo keyed on the body text
+        (the render is a function of it alone), or this test would spend
+        most of its time re-rendering unchanged bodies."""
+        from repro.sitegen import site as site_mod
+
+        html = functools.lru_cache(maxsize=None)(site_mod.markdown.render_html)
+        monkeypatch.setattr(site_mod.Page, "content_html",
+                            lambda page: html(page.body))
+        assert _scaled_corpus(content, 12) == 456
+        manager = RebuildManager(content)
+        editor = _Editor(content)
+        snapshot = _snapshot(manager.state)
+        # The tag edits add a medium term and drop a sense, as an author
+        # retagging an activity does (choice indexes _Editor.AXES).
+        choices = {"tag-add": 6, "tag-drop": 5}
+        for step, kind in enumerate(_Editor.KINDS):
+            assert editor.apply(kind, pick=step * 61,
+                                choice=choices.get(kind, step))
+            old = manager.state
+            result = manager.refresh()
+            assert result is not None and result.ok, result and result.error
+            snapshot = _assert_refresh_exact(old, snapshot, manager.state,
+                                             content)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_Editor.KINDS),
+                              st.integers(0, 40), st.integers(0, 40)),
+                    min_size=1, max_size=6))
+    def test_random_edit_sequences(self, edits):
+        """Differential: any sequence of edits on a small corpus keeps
+        every generation equal to a build from scratch."""
+        with tempfile.TemporaryDirectory() as tmp:
+            content = Path(tmp) / "content"
+            content.mkdir()
+            for name in SMALL_CORPUS:
+                shutil.copy(corpus_dir() / f"{name}.md", content)
+            manager = RebuildManager(content)
+            editor = _Editor(content)
+            snapshot = _snapshot(manager.state)
+            for kind, pick, choice in edits:
+                if not editor.apply(kind, pick, choice):
+                    continue
+                old = manager.state
+                result = manager.refresh()
+                assert result is not None and result.ok, result and result.error
+                snapshot = _assert_refresh_exact(old, snapshot, manager.state,
+                                                 content)
 
     def test_readers_of_old_generations_during_refreshes(self, content):
         """Threads render whichever generation is live while refreshes
