@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -37,9 +38,14 @@ __all__ = ["Catalog", "load_default_catalog", "corpus_dir", "clear_corpus_cache"
 
 
 def scan_content(content_dir: str | Path) -> dict[str, tuple[str, int, int]]:
-    """Fingerprint a content tree: file name -> (name, mtime_ns, size)."""
+    """Fingerprint a content tree: file name -> (name, mtime_ns, size).
+
+    Sorted by name, which for one directory is the ``Path`` order at a
+    fraction of the cost of comparing ``Path`` objects.
+    """
     return {path.name: file_fingerprint(path)
-            for path in sorted(Path(content_dir).glob("*.md"))}
+            for path in sorted(Path(content_dir).glob("*.md"),
+                               key=attrgetter("name"))}
 
 
 class Catalog:

@@ -110,9 +110,20 @@ MAX_SIM_STUDENTS = 200
 MAX_SWEEP_BODY = 1 << 20
 
 
+#: Names the byte format :func:`_json_body` writes.  It is part of every
+#: persisted API entry's signature, so bodies spilled in another format
+#: (the indented JSON of older versions) are dropped at warm load instead
+#: of being served beside fresh ones.
+JSON_BODY_FORMAT = "json-compact"
+
+
 def _json_body(payload: object) -> bytes:
-    """The one encoder for every JSON body, live or cached."""
-    return json.dumps(payload, indent=2, sort_keys=True,
+    """The one encoder for every JSON body, live or cached.
+
+    Compact separators keep CPython on its C encoder, which ``indent``
+    turns off; keys stay sorted, so equal payloads give equal ETags.
+    """
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True,
                       default=str).encode("utf-8")
 
 
@@ -204,13 +215,14 @@ class ServeApp:
 
         Rendered pages carry their own task signature; corpus-derived API
         responses (including ``/api/search?…`` variants) carry the whole
-        generation's signature.  ``None`` marks the path unpersistable.
+        generation's signature, tagged with :data:`JSON_BODY_FORMAT`.
+        ``None`` marks the path unpersistable.
         """
         task = self.state.plan_by_url.get(path)
         if task is not None:
             return task.signature
         if _is_cacheable_api(path):
-            return self.state.corpus_signature
+            return f"{self.state.corpus_signature}/{JSON_BODY_FORMAT}"
         return None
 
     def warm_start(self) -> int:

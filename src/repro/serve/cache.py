@@ -106,6 +106,8 @@ class PageCache:
         self._lock = threading.Lock()
         sanitize.register_lock(self, "_lock", "PageCache._lock")
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        # Sum of the live entries' sizes, kept in step under _lock.
+        self._bytes = 0
         # Query keys refused once by a gated put, oldest first.
         self._refused: OrderedDict[str, None] = OrderedDict()
         self.hits = 0
@@ -167,11 +169,15 @@ class PageCache:
                     self._refused.popitem(last=False)
                 return entry
             self._refused.pop(path, None)
-            if path in self._entries:
+            old = self._entries.get(path)
+            if old is not None:
+                self._bytes -= old.size
                 self._entries.move_to_end(path)
             self._entries[path] = entry
+            self._bytes += entry.size
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.size
                 self.evictions += 1
         return entry
 
@@ -184,7 +190,7 @@ class PageCache:
         with self._locked():
             victims = [key for key in self._entries if covered(key)]
             for key in victims:
-                del self._entries[key]
+                self._bytes -= self._entries.pop(key).size
             self.invalidations += len(victims)
         return len(victims)
 
@@ -192,6 +198,7 @@ class PageCache:
         with self._locked():
             self.invalidations += len(self._entries)
             self._entries.clear()
+            self._bytes = 0
 
     def entries(self) -> list[CacheEntry]:
         """Snapshot of the live entries, LRU first (for persistence)."""
@@ -208,7 +215,7 @@ class PageCache:
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "bytes": sum(e.size for e in self._entries.values()),
+                "bytes": self._bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_ratio": round(self.hit_ratio, 4),

@@ -65,11 +65,18 @@ DEFAULT_SWEEP_SPECS: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class WSGIResponse:
-    """Materialized response from an in-process WSGI call."""
+    """Materialized response from an in-process WSGI call.
+
+    ``headers`` maps each name to its last value; ``header_list`` keeps
+    every header in the order the app sent it, repeats included, and
+    ``status_line`` the full status line (``"404 Not Found"``).
+    """
 
     status: int
     headers: dict[str, str]
     body: bytes
+    header_list: list[tuple[str, str]]
+    status_line: str
 
     @property
     def etag(self) -> str | None:
@@ -110,8 +117,8 @@ def call_app(app, path: str, method: str = "GET",
     captured: dict[str, object] = {}
 
     def start_response(status_line, response_headers):
-        captured["status"] = int(status_line.split(" ", 1)[0])
-        captured["headers"] = dict(response_headers)
+        captured["status_line"] = status_line
+        captured["header_list"] = list(response_headers)
 
     chunks = app(environ, start_response)
     try:
@@ -120,8 +127,11 @@ def call_app(app, path: str, method: str = "GET",
         close = getattr(chunks, "close", None)
         if close is not None:
             close()
-    return WSGIResponse(status=captured["status"],
-                        headers=captured["headers"], body=body)
+    status_line = captured["status_line"]
+    header_list = captured["header_list"]
+    return WSGIResponse(status=int(status_line.split(" ", 1)[0]),
+                        headers=dict(header_list), body=body,
+                        header_list=header_list, status_line=status_line)
 
 
 def zipf_weights(n: int, exponent: float = 1.1) -> list[float]:

@@ -513,6 +513,9 @@ def _parse_table(lines: list[str], start: int, end: int) -> tuple[Table, int]:
 
 _AUTOLINK_RE = re.compile(r"<(https?://[^ >]+)>")
 _URL_RE = re.compile(r"https?://[^\s<>()\[\]]+[^\s<>()\[\].,;:!?'\"]")
+#: Every character a branch of :func:`parse_inlines` handles; any other
+#: character is plain text, copied a run at a time.
+_INLINE_SPECIAL_RE = re.compile(r"[\\\n`!\[<*_]")
 
 
 def parse_inlines(text: str) -> list[Inline]:
@@ -539,7 +542,6 @@ def parse_inlines(text: str) -> list[Inline]:
             i += 1
             continue
         if ch == "`":
-            run = len(text) - len(text[i:].lstrip("`"))
             ticks = 0
             while i + ticks < n and text[i + ticks] == "`":
                 ticks += 1
@@ -591,6 +593,11 @@ def parse_inlines(text: str) -> list[Inline]:
                     continue
         buf.append(ch)
         i += 1
+        special = _INLINE_SPECIAL_RE.search(text, i)
+        end = special.start() if special else n
+        if end > i:
+            buf.append(text[i:end])
+            i = end
     flush()
     return nodes
 

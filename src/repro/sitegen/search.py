@@ -6,7 +6,9 @@ browsing, this module gives the site a search box: a small inverted index
 with TF-IDF ranking over activity titles, section bodies, and tags.
 
 Pure Python, deterministic, no dependencies; built once per catalog and
-queried many times.  Tokenization lowercases, strips punctuation, and
+queried many times.  Scores are deterministic across processes too: the
+query's tokens are summed in sorted order, never in ``set`` order, which
+moves with the hash seed.  Tokenization lowercases, strips punctuation, and
 drops a small stop list; title and tag hits are boosted.
 
 The index lives only in memory: :meth:`SearchIndex.from_catalog` builds
@@ -25,6 +27,7 @@ previous generation stay consistent and a patch costs what it touches.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import sys
@@ -46,6 +49,10 @@ STOP_WORDS: frozenset[str] = frozenset(
 
 #: Field weights: a title hit outranks a body hit.
 FIELD_WEIGHTS = {"title": 3.0, "tags": 2.0, "body": 1.0}
+
+# SearchIndex.search inlines these weights; keep the two in step.
+_TITLE_W, _TAGS_W, _BODY_W = 3.0, 2.0, 1.0
+assert FIELD_WEIGHTS == {"title": _TITLE_W, "tags": _TAGS_W, "body": _BODY_W}
 
 
 def tokenize(text: str) -> list[str]:
@@ -211,34 +218,40 @@ class SearchIndex:
         """Rank documents by weighted TF-IDF over the query tokens.
 
         Results are deterministic: score descending, name ascending.
+        Each document's score sums its tokens in sorted order, so it has
+        the same bits in every process.  The field counts are integers,
+        so a document's weighted term frequency is exact whatever order
+        its three fields are added in.
         """
         tokens = tokenize(query)
         if not tokens:
             return []
         scores: dict[str, float] = {}
         matches: dict[str, set[str]] = {}
-        for token in set(tokens):
+        docs = self._docs
+        for token in sorted(set(tokens)):
             idf = self._idf(token)
             if idf == 0.0:
                 continue
             for name in self._postings[token]:
-                doc = self._docs[name]
-                tf = sum(
-                    FIELD_WEIGHTS[fname] * counter.get(token, 0)
-                    for fname, counter in doc.field_counts.items()
-                )
+                doc = docs[name]
+                counts = doc.field_counts
+                tf = (_TITLE_W * counts["title"].get(token, 0)
+                      + _TAGS_W * counts["tags"].get(token, 0)
+                      + _BODY_W * counts["body"].get(token, 0))
                 if tf:
                     scores[name] = scores.get(name, 0.0) + (tf / doc.length) * idf
                     matches.setdefault(name, set()).add(token)
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = heapq.nsmallest(limit, scores.items(),
+                                 key=lambda kv: (-kv[1], kv[0]))
         return [
             SearchHit(
                 name=name,
-                title=self._docs[name].title,
+                title=docs[name].title,
                 score=score,
                 matched_terms=tuple(sorted(matches[name])),
             )
-            for name, score in ranked[:limit]
+            for name, score in ranked
         ]
 
     def suggest(self, prefix: str, limit: int = 8) -> list[str]:

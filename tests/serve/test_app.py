@@ -241,3 +241,30 @@ class TestSearchAdmission:
         assert second.headers["X-Cache"] == "miss" and second.status == 304
         assert third.headers["X-Cache"] == "hit" and third.status == 304
         assert first.etag == second.etag == third.etag
+
+
+class TestCompactJson:
+    """Every JSON route answers compact JSON with sorted keys, so the C
+    encoder writes it and equal payloads give equal ETags."""
+
+    PATHS = ("/healthz", "/readyz", "/api/activities",
+             "/api/search?q=parallel+sorting&limit=50",
+             "/api/coverage/cs2013", "/api/coverage/tcpp", "/api/gaps",
+             "/api/simulate/findsmallestcard?n=8&seed=3", "/api/metrics",
+             "/api/lint", "/api/search", "/api/simulate/nosuchslug",
+             "/api/nosuchroute", "/api/sweeps")
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_body_is_compact_and_sorted(self, app, path):
+        response = call_app(app, path)
+        assert response.headers["Content-Type"].startswith("application/json")
+        canonical = json.dumps(json.loads(response.body), separators=(",", ":"),
+                               sort_keys=True).encode("utf-8")
+        assert response.body == canonical
+        assert int(response.headers["Content-Length"]) == len(response.body)
+
+    def test_cached_body_is_compact_too(self, app):
+        first = call_app(app, "/api/coverage/tcpp")
+        again = call_app(app, "/api/coverage/tcpp")
+        assert again.headers["X-Cache"] == "hit"
+        assert again.body == first.body and b"\n" not in again.body

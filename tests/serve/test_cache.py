@@ -7,6 +7,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.cache import PageCache, ShardedPageCache, make_etag, shard_for
 from repro.serve.persist import CacheStore
@@ -405,3 +407,61 @@ class TestInvalidate:
         self.fill(any_cache)
         assert any_cache.invalidate(iter(["/a/", "/ab/"])) == 4
         assert any_cache.invalidations == 4
+
+
+# -- the running byte count ----------------------------------------------------
+
+
+def _summed(cache) -> int:
+    return sum(entry.size for entry in cache.entries())
+
+
+@pytest.fixture(params=["single", "sharded"])
+def small_cache(request):
+    """Each shape at 4 entries per shard, so a few puts evict."""
+    if request.param == "single":
+        return PageCache(capacity=4)
+    return ShardedPageCache(capacity=8, shards=2)
+
+
+class TestByteCount:
+    """``stats()["bytes"]`` is kept as entries come and go, never summed."""
+
+    def test_after_put_replace_evict_invalidate_and_clear(self, small_cache):
+        cache = small_cache
+        steps = [
+            lambda: cache.put("/a/", b"x" * 10),
+            lambda: cache.put("/b/", b"y" * 3),
+            lambda: cache.put("/a/", b"z" * 7),                     # replace
+            lambda: cache.put("/a/", b"z" * 7),                     # same size
+            lambda: cache.put("/s?q=1", b"q" * 5, gated=True),      # refused
+            lambda: cache.put("/s?q=1", b"q" * 5, gated=True),      # stored
+            *[lambda i=i: cache.put(f"/p{i}/", b"p" * i) for i in range(12)],
+            lambda: cache.invalidate(["/p11/", "/s"]),
+            lambda: cache.put("/p10/", b""),
+            lambda: cache.clear(),
+            lambda: cache.put("/c/", b"c" * 4),
+        ]
+        for step in steps:
+            step()
+            assert cache.stats()["bytes"] == _summed(cache)
+        assert cache.evictions > 0 and cache.invalidations > 0
+        assert cache.stats()["bytes"] == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["put", "gated", "drop", "clear"]),
+                              st.sampled_from(["/a/", "/b/", "/c/", "/d/",
+                                               "/e/", "/f?x", "/f?y", "/g/h"]),
+                              st.integers(0, 40)), max_size=40),
+           st.sampled_from(["single", "sharded"]))
+    def test_random_operations(self, ops, shape):
+        cache = (PageCache(capacity=3) if shape == "single"
+                 else ShardedPageCache(capacity=4, shards=2))
+        for op, key, size in ops:
+            if op == "drop":
+                cache.invalidate([key.partition("?")[0]])
+            elif op == "clear":
+                cache.clear()
+            else:
+                cache.put(key, b"b" * size, gated=op == "gated")
+            assert cache.stats()["bytes"] == _summed(cache)

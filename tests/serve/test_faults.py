@@ -15,6 +15,7 @@ Covers the failure-hardened serving pipeline end to end:
 
 from __future__ import annotations
 
+import json
 import shutil
 import threading
 import time
@@ -738,9 +739,9 @@ class TestOpsEndpoints:
         try:
             response = call_app(app, "/readyz")
             assert response.status == 200
-            body = response.body.decode("utf-8")
-            assert '"ready": true' in body
-            assert '"breaker": "closed"' in body
+            payload = json.loads(response.body)
+            assert payload["ready"] is True
+            assert payload["breaker"] == "closed"
         finally:
             app.close()
 

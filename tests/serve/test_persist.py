@@ -188,3 +188,42 @@ class TestServeIntegration:
         # the edited page is stale, the untouched listing page reloads
         assert "/activities/gardeners/" not in second.cache
         assert "/senses/" in second.cache
+
+
+class TestOlderSpillFormat:
+    """API bodies spilled as indented JSON, under the untagged corpus
+    signature older versions gave them, are dropped at warm load; pages
+    spilled beside them still reload."""
+
+    def test_indented_api_entries_are_not_reloaded(self, tmp_path):
+        from repro.serve.app import _is_cacheable_api
+
+        cache_dir = tmp_path / "cache"
+        first = create_app(watch=False, cache_dir=cache_dir)
+        paths = ["/", "/senses/", "/api/activities", "/api/gaps",
+                 "/api/coverage/tcpp"]
+        run_load(first, paths, revalidate=False)
+
+        old = PageCache(capacity=64)
+        for entry in first.cache.entries():
+            body = entry.body
+            if _is_cacheable_api(entry.path):
+                body = json.dumps(json.loads(body), indent=2,
+                                  sort_keys=True).encode("utf-8")
+            old.put(entry.path, body, entry.content_type)
+
+        def older_signature(path):
+            if _is_cacheable_api(path):
+                return first.state.corpus_signature
+            return first.cache_signature(path)
+
+        assert CacheStore(cache_dir).save(old, older_signature) == len(paths)
+
+        warm = create_app(watch=False, cache_dir=cache_dir)
+        assert warm.warm_loaded == 2
+        assert sorted(e.path for e in warm.cache.entries()) == ["/", "/senses/"]
+        for path in paths[2:]:
+            response = call_app(warm, path)
+            assert response.headers["X-Cache"] == "miss"
+            assert response.body == call_app(first, path).body
+            assert b"\n" not in response.body

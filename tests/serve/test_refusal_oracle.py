@@ -50,17 +50,8 @@ def exchange(app, method: str, path: str,
              headers: dict[str, str] | None = None,
              body: bytes | None = None) -> tuple[str, list, bytes]:
     """One in-process call: status line, header list in order, body."""
-    seen = {}
-
-    def recording(environ, start_response):
-        def capture(status_line, header_list):
-            seen["status"], seen["headers"] = status_line, list(header_list)
-            return start_response(status_line, header_list)
-        return app(environ, capture)
-
-    response = call_app(recording, path, method=method, headers=headers,
-                        body=body)
-    return seen["status"], seen["headers"], response.body
+    response = call_app(app, path, method=method, headers=headers, body=body)
+    return response.status_line, response.header_list, response.body
 
 
 def counts(app) -> dict[str, int]:
@@ -230,10 +221,10 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "deadline-503": (
         [("503 Service Unavailable",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "91"),
+           ("Content-Length", "82"),
            ("Retry-After", "1")],
-          b'{\n  "error": "deadline exceeded at render-start: 1.0 ms > 0.0'
-          b' ms budget",\n  "status": 503\n}')],
+          b'{"error":"deadline exceeded at render-start: 1.0 ms > 0.0 ms '
+          b'budget","status":503}')],
         {"resilience.deadline_expired": 1,
          "routes.<deadline>.errors": 1,
          "routes.<deadline>.requests": 1,
@@ -241,10 +232,10 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "degraded-503": (
         [("503 Service Unavailable",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "120"),
+           ("Content-Length", "111"),
            ("Retry-After", "1")],
-          b'{\n  "error": "temporarily degraded: gave up after 2 attempt(s'
-          b'): InjectedFault: injected render fault",\n  "status": 503\n}')],
+          b'{"error":"temporarily degraded: gave up after 2 attempt(s): I'
+          b'njectedFault: injected render fault","status":503}')],
         {"resilience.degraded": 1,
          "routes.<degraded>.errors": 1,
          "routes.<degraded>.requests": 1,
@@ -252,9 +243,8 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "delete-sweep-results-405": (
         [("405 Method Not Allowed",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "68")],
-          b'{\n  "error": "DELETE applies to /api/sweeps/<id>",\n  "status'
-          b'": 405\n}')],
+           ("Content-Length", "59")],
+          b'{"error":"DELETE applies to /api/sweeps/<id>","status":405}')],
         {"routes./api/sweeps/<id>.errors": 1,
          "routes./api/sweeps/<id>.requests": 1,
          "routes./api/sweeps/<id>.statuses.405": 1}),
@@ -280,7 +270,7 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
         [("304 Not Modified",
           [("Content-Type", "application/json; charset=utf-8"),
            ("Content-Length", "0"),
-           ("ETag", "\"04bb90c1ab1d15cd2faf48e8\""),
+           ("ETag", "\"8604abf62172614815c97998\""),
            ("X-Cache", "miss")],
           b'')],
         {"cache.misses": 1,
@@ -290,44 +280,40 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "put-405": (
         [("405 Method Not Allowed",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "56")],
-          b'{\n  "error": "method PUT not allowed",\n  "status": 405\n}')],
+           ("Content-Length", "47")],
+          b'{"error":"method PUT not allowed","status":405}')],
         {"routes.<method-not-allowed>.errors": 1,
          "routes.<method-not-allowed>.requests": 1,
          "routes.<method-not-allowed>.statuses.405": 1}),
     "readyz-503": (
         [("503 Service Unavailable",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "126"),
+           ("Content-Length", "101"),
            ("Retry-After", "1")],
-          b'{\n  "breaker": null,\n  "catalog_loaded": false,\n  "generati'
-          b'on": "g0",\n  "ready": false,\n  "shed_rate": 0.0,\n  "stale":'
-          b' false\n}')],
+          b'{"breaker":null,"catalog_loaded":false,"generation":"g0","rea'
+          b'dy":false,"shed_rate":0.0,"stale":false}')],
         {"routes./readyz.errors": 1,
          "routes./readyz.requests": 1,
          "routes./readyz.statuses.503": 1}),
     "safety-net-500": (
         [("500 Internal Server Error",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "62")],
-          b'{\n  "error": "internal error: RuntimeError",\n  "status": 500'
-          b'\n}')],
+           ("Content-Length", "53")],
+          b'{"error":"internal error: RuntimeError","status":500}')],
         {"routes.<error>.errors": 1,
          "routes.<error>.requests": 1,
          "routes.<error>.statuses.500": 1}),
     "shed-503-twice": (
         [("503 Service Unavailable",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "69"),
+           ("Content-Length", "60"),
            ("Retry-After", "1")],
-          b'{\n  "error": "server over capacity, retry shortly",\n  "statu'
-          b's": 503\n}'),
+          b'{"error":"server over capacity, retry shortly","status":503}'),
          ("503 Service Unavailable",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "69"),
+           ("Content-Length", "60"),
            ("Retry-After", "2")],
-          b'{\n  "error": "server over capacity, retry shortly",\n  "statu'
-          b's": 503\n}')],
+          b'{"error":"server over capacity, retry shortly","status":503}')],
         {"resilience.shed": 2,
          "routes.<shed>.errors": 2,
          "routes.<shed>.requests": 2,
@@ -336,12 +322,12 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "stale-200": (
         [("200 OK",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "50"),
-           ("ETag", "\"04bb90c1ab1d15cd2faf48e8\""),
+           ("Content-Length", "37"),
+           ("ETag", "\"8604abf62172614815c97998\""),
            ("X-Cache", "miss"),
            ("Warning", "110 pdcunplugged \"Response is stale\""),
            ("X-Stale", "1")],
-          b'{\n  "count": 0,\n  "hits": [],\n  "query": "zzqxv"\n}')],
+          b'{"count":0,"hits":[],"query":"zzqxv"}')],
         {"cache.misses": 1,
          "resilience.stale_served": 1,
          "routes./api/search.requests": 1,
@@ -349,29 +335,29 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "sweep-capacity-429": (
         [("429 Too Many Requests",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "89"),
+           ("Content-Length", "80"),
            ("Retry-After", "3")],
-          b'{\n  "error": "sweep capacity reached (4/4 jobs active), retry'
-          b' shortly",\n  "status": 429\n}')],
+          b'{"error":"sweep capacity reached (4/4 jobs active), retry sho'
+          b'rtly","status":429}')],
         {"routes./api/sweeps.errors": 1,
          "routes./api/sweeps.requests": 1,
          "routes./api/sweeps.statuses.429": 1}),
     "sweeps-disabled-503": (
         [("503 Service Unavailable",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "88")],
-          b'{\n  "error": "sweep service not enabled (start with --sweep-w'
-          b'orkers)",\n  "status": 503\n}')],
+           ("Content-Length", "79")],
+          b'{"error":"sweep service not enabled (start with --sweep-worke'
+          b'rs)","status":503}')],
         {"routes./api/sweeps.errors": 1,
          "routes./api/sweeps.requests": 1,
          "routes./api/sweeps.statuses.503": 1}),
     "tenant-rate-429": (
         [("429 Too Many Requests",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "119"),
+           ("Content-Length", "102"),
            ("Retry-After", "20")],
-          b'{\n  "error": "rate limit exceeded for this key, retry later",'
-          b'\n  "status": 429,\n  "tenant": "sk-hot",\n  "tier": "free"\n}')],
+          b'{"error":"rate limit exceeded for this key, retry later","sta'
+          b'tus":429,"tenant":"sk-hot","tier":"free"}')],
         {"resilience.rate_limited": 1,
          "routes.<rate-limited>.errors": 1,
          "routes.<rate-limited>.requests": 1,
@@ -380,11 +366,10 @@ ORACLE: dict[str, tuple[list, dict[str, int]]] = {
     "tenant-sweep-quota-429": (
         [("429 Too Many Requests",
           [("Content-Type", "application/json; charset=utf-8"),
-           ("Content-Length", "126"),
+           ("Content-Length", "109"),
            ("Retry-After", "20")],
-          b'{\n  "error": "sweep submission quota exhausted for this windo'
-          b'w",\n  "status": 429,\n  "tenant": "sk-sweeper",\n  "tier": "f'
-          b'ree"\n}')],
+          b'{"error":"sweep submission quota exhausted for this window","'
+          b'status":429,"tenant":"sk-sweeper","tier":"free"}')],
         {"resilience.rate_limited": 1,
          "routes.<rate-limited>.errors": 1,
          "routes.<rate-limited>.requests": 1,

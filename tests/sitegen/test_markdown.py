@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sitegen import markdown as md
@@ -17,6 +17,7 @@ from repro.sitegen.markdown import (
     Table,
     ThematicBreak,
 )
+from tests.sitegen import _markdown_oracle as inline_oracle
 
 
 class TestBlocks:
@@ -212,3 +213,45 @@ def test_parser_never_crashes(text):
 ), max_size=12))
 def test_block_structures_never_crash(lines):
     md.render_html("\n".join(lines))
+
+
+# -- run-scanned inlines against the frozen per-character parser ----------
+
+#: Every character a branch of ``parse_inlines`` looks at, plus a little
+#: plain text, so runs are short and every branch is reached.
+_INLINE_ALPHABET = "\\\n`![]()<>*_\"{}#+-.| aZ:/é"
+_INLINE_PIECES = st.sampled_from([
+    "word", " ", "\n", "\\*", "\\\\", "\\`", "*", "**", "_", "__", "`",
+    "``", "[", "]", "(", ")", "![", "<", ">", "https://x.org/a", "<http://y",
+    '"t"', "[a](b)", '[l](u "t")', "![i](p.png)", "**b**", "*e*", "`c`",
+])
+_INLINE_TEXT = st.one_of(
+    st.text(alphabet=_INLINE_ALPHABET, max_size=60),
+    st.lists(_INLINE_PIECES, max_size=16).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_INLINE_TEXT)
+def test_inlines_match_the_frozen_parser(text):
+    assert md.parse_inlines(text) == inline_oracle.parse_inlines(text)
+
+
+@pytest.mark.parametrize("corpus", ["packaged", "scaled"])
+def test_every_plan_url_renders_as_with_the_frozen_parser(
+        corpus, catalog, request, monkeypatch):
+    """Byte-identical renders of every plan URL, 38 and 456 files."""
+    if corpus == "scaled":
+        catalog = request.getfixturevalue("scaled_catalog")
+    plan = catalog.site().render_plan()
+    live = {task.url: task.render() for task in plan}
+    calls = []
+
+    def frozen(text):
+        calls.append(text)
+        return inline_oracle.parse_inlines(text)
+
+    monkeypatch.setattr(md, "parse_inlines", frozen)
+    assert {task.url: task.render() for task in plan} == live
+    assert calls                          # the frozen parser did render them
+    assert len(live) == {"packaged": 170, "scaled": 588}[corpus]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 from urllib.parse import parse_qs
 
@@ -264,17 +268,6 @@ def _answers(index):
     )
 
 
-@pytest.fixture(scope="module")
-def scaled_catalog(tmp_path_factory):
-    """The 456-file corpus the ``fleet`` benchmark workload serves."""
-    from perfbench.inputs import scaled_corpus
-    from repro.activities.catalog import Catalog
-
-    content = tmp_path_factory.mktemp("search") / "content"
-    scaled_corpus(Path(__file__).resolve().parents[2], content, 12, 1)
-    return Catalog.from_directory(content)
-
-
 class TestAllCorpusMatchesOracle:
     def test_queries_cover_the_loadgen_searches(self):
         assert _QUERIES == ["cards", "parallel sorting", "deadlock"]
@@ -311,3 +304,90 @@ class TestTokensShared:
         assert keys("b", "body")["sorting"] is token
         assert keys("b", "tags")["sorting"] is token
         assert next(iter(t for t in index._postings if t == "sorting")) is token
+
+
+# -- the inlined scorer against the frozen per-posting one -----------------
+
+
+def _random_queries(index, count: int, seed: int) -> list[str]:
+    """1-3-word queries over the index's own tokens plus one stop word."""
+    rng = random.Random(seed)
+    vocabulary = sorted(index._postings) + ["the"]
+    return [" ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 3)))
+            for _ in range(count)]
+
+
+def _hits(index, query, limit):
+    return [(h.name, h.title, h.score.hex(), h.matched_terms)
+            for h in index.search(query, limit=limit)]
+
+
+class TestScoringMatchesOracle:
+    """Scores keep their bits: every hit equals the frozen scorer's."""
+
+    @pytest.mark.parametrize("corpus,count", [("packaged", 3000),
+                                              ("scaled", 1000)])
+    def test_random_queries(self, corpus, count, catalog, request):
+        if corpus == "scaled":
+            catalog = request.getfixturevalue("scaled_catalog")
+        live = SearchIndex.from_catalog(catalog)
+        frozen = oracle.OracleIndex.from_catalog(catalog)
+        for query in _random_queries(live, count, seed=len(catalog)):
+            for limit in (10, 50):
+                assert _hits(live, query, limit) == _hits(frozen, query, limit), \
+                    (query, limit)
+
+    def test_top_k_is_the_sorted_prefix_for_every_limit(self, catalog):
+        live = SearchIndex.from_catalog(catalog)
+        frozen = oracle.OracleIndex.from_catalog(catalog)
+        for query in ("parallel sorting cards", "cards", "deadlock message"):
+            ranked = _hits(frozen, query, len(live))
+            for limit in range(len(ranked) + 2):
+                assert _hits(live, query, limit) == ranked[:limit], (query, limit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_doc, min_size=1, max_size=4), st.lists(_words, min_size=1,
+                                                           max_size=3))
+    def test_synthetic_documents(self, docs, words):
+        live, frozen = SearchIndex(), oracle.OracleIndex()
+        for i, (title, body, tags) in enumerate(docs):
+            live.add_document(f"d{i}", title, body, tags)
+            frozen.add_document(f"d{i}", title, body, tags)
+        query = " ".join(words)
+        for limit in (1, 2, 10):
+            assert _hits(live, query, limit) == _hits(frozen, query, limit)
+
+
+_SEARCH_BODY = """
+from repro.serve import create_app
+from repro.serve.loadgen import call_app
+app = create_app(watch=False, cache_enabled=False)
+try:
+    query = "parallel sorting cards"
+    body = call_app(app, "/api/search?q=parallel+sorting+cards&limit=50").body
+    scores = [(h.name, h.score.hex())
+              for h in app.state.search.search(query, limit=50)]
+finally:
+    app.close()
+print(body.hex())
+print(scores)
+"""
+
+
+def test_search_is_the_same_under_every_hash_seed():
+    """A multi-token score sums its tokens in one order in every process,
+    so scores keep their bits, and the ``/api/search`` body and its ETag
+    survive a restart.  Under ``set`` order, seeds 0 and 1 gave
+    ``laundrypipeline`` scores one ulp apart for this query."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _SEARCH_BODY], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    body_hex, scores = outputs.pop().splitlines()
+    assert b'"laundrypipeline"' in bytes.fromhex(body_hex)
+    assert "laundrypipeline" in scores
