@@ -238,7 +238,7 @@ def test_inlines_match_the_frozen_parser(text):
 
 
 @pytest.mark.parametrize("corpus", ["packaged", "scaled"])
-def test_every_plan_url_renders_as_with_the_frozen_parser(
+def test_every_plan_url_renders_the_same_with_the_frozen_parser(
         corpus, catalog, request, monkeypatch):
     """Byte-identical renders of every plan URL, 38 and 456 files."""
     if corpus == "scaled":
